@@ -5,10 +5,12 @@ Two independent routes to char polys, both exact:
 * ``charpoly``: the production route.  Reduce to Hessenberg form modulo
   each of several word-size primes (similarity transforms only), run the
   leading-minor recurrence, and combine residues by CRT.  Primes stay
-  below 2^27 so an int64 matrix product of residues cannot overflow
-  (n * p^2 < 2^63 up to n ~ 500), which lets numpy do the inner loops.
-  The prime budget is derived from a rigorous coefficient bound, so the
-  result is exact, not heuristic.
+  below 2^27, so a sum of up to 511 products of residues stays below
+  2^63 (511 * p^2 < 2^63).  Every int64 dot product sums chunks of at
+  most 511 terms and reduces each chunk mod p, which keeps it exact at
+  any order while numpy does the inner loops.  The prime budget is
+  derived from a rigorous coefficient bound, so the result is exact,
+  not heuristic.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
@@ -70,6 +72,23 @@ def _prime(i: int) -> int:
     return _primes[i]
 
 
+# 511 * (2^27 - 1)^2 + 2^27 < 2^63: a reduced partial sum plus one chunk
+# of this many residue products fits in an int64
+_DOT_CHUNK = 511
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int):
+    """``(a @ b) % p`` for int64 residues mod p < 2^27, exact at any length.
+
+    Contracts the last axis of a with the first axis of b in chunks of at
+    most ``_DOT_CHUNK`` terms, reducing mod p after each chunk.
+    """
+    total = a[..., :_DOT_CHUNK] @ b[:_DOT_CHUNK] % p
+    for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        total = (total + a[..., i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK]) % p
+    return total
+
+
 def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     """Char poly of ``mat`` modulo prime p, coefficients low to high.
 
@@ -92,7 +111,7 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
         inv = pow(int(H[j + 1, j]), p - 2, p)
         mult = (H[j + 2 :, j] * inv) % p
         H[j + 2 :, :] = (H[j + 2 :, :] - np.outer(mult, H[j + 1, :])) % p
-        H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ mult) % p
+        H[:, j + 1] = (H[:, j + 1] + _dot_mod(H[:, j + 2 :], mult, p)) % p
 
     # P[m] = char poly of the m-th leading minor of xI - H, low-to-high.
     # For Hessenberg H the expansion along the last column gives
@@ -111,8 +130,7 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
         if m >= 2:
             w = H[: m - 1, m - 1] * prod[: m - 1] % p
             if w.any():
-                # n * p^2 < 2^63 keeps the int64 dot product exact
-                P[m, :m] = (P[m, :m] - w @ P[: m - 1, :m]) % p
+                P[m, :m] = (P[m, :m] - _dot_mod(w, P[: m - 1, :m], p)) % p
     return P[n]
 
 

@@ -29,7 +29,14 @@ from .connectivity import (
     verify_disconnecting_set,
     vertex_connectivity,
 )
-from .families import FamilyInstance, generate_family, line_graph_family
+from .families import (
+    EVEN_K_FAMILIES,
+    FAMILY_TAGS,
+    SINGLE_INSTANCE_FAMILIES,
+    FamilyInstance,
+    generate_family,
+    line_graph_family,
+)
 from .graph import Graph6Error, components, decode_graph6, encode_graph6, two_coloring
 from .spectra import (
     char_poly_adjacency,
@@ -424,14 +431,14 @@ def cmd_verify(args) -> int:
 
 
 def _table_ks(family, kmin, kmax):
-    if family == "edge-variant4":
+    if family in SINGLE_INSTANCE_FAMILIES:
         return [None]
     if kmin is None or kmax is None:
         raise ValueError("table needs --kmin and --kmax for this family")
     if kmin > kmax:
         raise ValueError("--kmin must not exceed --kmax")
     ks = range(kmin, kmax + 1)
-    if family in ("edge", "line-of-edge"):
+    if family in EVEN_K_FAMILIES:
         return [k for k in ks if k % 2 == 0]
     return list(ks)
 
@@ -592,11 +599,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    families = ["vertex", "edge", "edge-variant4", "line-of-edge",
-                "line-of-vertex", "line-of-edge-variant4"]
-
     p = sub.add_parser("generate", help="build a pair; emit graph6 + sidecars")
-    p.add_argument("--family", required=True, choices=families)
+    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None,
                    help="basename for .g6/.plan.json/.meta.json sidecars")
@@ -605,7 +609,7 @@ def _build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="recompute metrics, compare with claims")
-    p.add_argument("--family", required=True, choices=families)
+    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--checks", default=None,
                    help="comma list from: " + ", ".join(CHECK_NAMES) + "; or 'all'"
@@ -616,7 +620,7 @@ def _build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="summary rows across a range of k")
-    p.add_argument("--family", required=True, choices=families)
+    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument("--kmin", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--json", action="store_true")

@@ -1,8 +1,25 @@
 """Exact vertex and edge connectivity with checkable witnesses.
 
-Local connectivity between a vertex pair is computed by BFS augmenting
-paths on a unit-capacity network (the vertex version splits every vertex
-into an in/out pair).  Global connectivity reduces to few local runs:
+Local connectivity between a vertex pair is a maximum flow on a
+unit-capacity network, found by shortest augmenting paths.  One flow
+routine serves two networks:
+
+* vertex: the Even-Tarjan split network.  Node 2v is "into v" and node
+  2v+1 is "out of v"; the arc 2v -> 2v+1 makes paths internally
+  disjoint, and every edge uv gives the arcs 2u+1 -> 2v and 2v+1 -> 2u.
+  An s-t run goes from node 2s+1 to node 2t.
+* edge: node v is vertex v, with one arc each way along every edge.
+
+A network is built once per graph as Python-int bitmasks, out-arcs and
+in-arcs per node, and each (s, t) run starts from a copy of the out-arc
+list.  In the residual graph ``live[a]`` is the set of heads of live
+arcs out of node a, and ``fout[a]`` the set of heads of arcs out of a
+that carry flow.  BFS grows one level at a time by OR-ing ``live`` over
+the frontier; the augmenting path is traced back through the levels,
+looking at node b only among the candidates ``level & (in-arcs of b |
+fout[b])`` that can hold a live arc into b.
+
+Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 
 * vertex: fix a lowest-index minimum-degree vertex v0; take the minimum
   of kappa(v0, t) over non-neighbors t and kappa(u, w) over non-adjacent
@@ -11,20 +28,26 @@ into an in/out pair).  Global connectivity reduces to few local runs:
   star of a minimum-degree vertex.
 
 Each run is capped at the best value found so far, so only strict
-improvements are explored to completion.  Witnesses come from the final
-residual reachability cut (for flows that finished below the cap) or
-from the seed cut; both are exact minimum cuts.  Iteration orders are
-fixed by vertex index, so results are deterministic.
+improvements are explored to completion.  A run that finishes below its
+cap holds a maximum flow, and its final BFS has reached the source side
+of the minimal minimum cut.  That set is the same for every maximum
+flow, so the witness does not depend on which augmenting paths were
+found or in what order.  The witness is the set of arcs leaving it:
+the vertices they enter (split network) or the edges they run along.
+Otherwise the witness is the seed cut.  Iteration orders are fixed by
+vertex index, so results are deterministic.
+
+A path system is read off the final flow: from the source, follow the
+lowest flow-carrying arc out of each node, map split nodes to their
+vertex, and drop closed detours.
 
 ``brute_force_connectivity`` is the independent oracle: it enumerates
 deletion subsets in increasing size, with a hard ceiling on how many
 subsets it will agree to scan.
 """
-
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -109,222 +132,146 @@ class PathSystem:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _neighbor_lists(g: Graph) -> list:
-    return [g.neighbors(v) for v in range(g.n)]
-
-
-# -- vertex-split network ----------------------------------------------------
+# -- flow networks ---------------------------------------------------------------
 #
-# Node 2v is "into v", node 2v+1 is "out of v".  Arcs: 2v -> 2v+1 for every
-# v except the endpoints (unit capacity, this is what makes paths internally
-# disjoint), and (2u+1) -> 2v for every edge uv.  Source 2s+1, sink 2t.
-# The residual graph is kept as sets of live out-neighbors; BFS scans
-# candidate arcs in a fixed order (internal partner, then neighbors by
-# index), so the traversal is deterministic.
+# Bit b of out[a] is the unit arc a -> b, and arcs_in[b] holds the tails of
+# the arcs into b.  Arcs are never antiparallel except the two arcs of an
+# edge in the plain network, so cancelling flow on b -> a leaves a -> b
+# live exactly when a -> b is an arc.
 
 
-def _vertex_flow(g: Graph, nbrs, s: int, t: int, cap=None):
-    """Max s-t flow on the split network, stopping early at ``cap``.
+def _bitrows(rows) -> list:
+    """Each row of a boolean matrix as a Python-int bitmask."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
-    Returns (value, res); if value < cap (or cap is None) the flow is
-    maximum and res is its residual adjacency.
-    """
-    n2 = 2 * g.n
-    res = [set() for _ in range(n2)]
+
+def _network(g: Graph, split: bool):
+    """(out, arcs_in) of the split network (split=True) or the plain one."""
+    if not split:
+        nbrs = _bitrows(g.adj)
+        return nbrs, nbrs
+    wide = np.zeros((g.n, 2 * g.n), dtype=bool)
+    wide[:, 0::2] = g.adj
+    into = _bitrows(wide)  # into[u]: the in-nodes 2v of u's neighbors
+    out, arcs_in = [], []
     for v in range(g.n):
-        if v != s and v != t:
-            res[2 * v].add(2 * v + 1)
-    for u in range(g.n):
-        ru = res[2 * u + 1]
-        for v in nbrs[u]:
-            ru.add(2 * v)
-    S, T = 2 * s + 1, 2 * t
+        out += [1 << (2 * v + 1), into[v]]
+        arcs_in += [into[v] << 1, 1 << (2 * v)]
+    return out, arcs_in
+
+
+def _flow(out, arcs_in, src: int, dst: int, cap=None):
+    """Unit-capacity max flow from node src to node dst, stopping at cap.
+
+    Returns (value, fout, seen).  fout[a] is the set of heads of arcs out
+    of a that carry flow.  When the flow stops below cap it is maximum and
+    seen is the set of nodes its final BFS reached; otherwise seen is None.
+    """
+    live = out.copy()
+    fout = [0] * len(out)
+    sink = 1 << dst
     value = 0
     while cap is None or value < cap:
-        parent = [-1] * n2
-        parent[S] = S
-        dq = deque([S])
-        hit = False
-        while dq and not hit:
-            a = dq.popleft()
-            v = a >> 1
-            ra = res[a]
-            if a & 1:
-                cand = [a - 1]
-                cand.extend(2 * u for u in nbrs[v])
+        seen = frontier = 1 << src
+        levels = []
+        while frontier and not frontier & sink:
+            levels.append(frontier)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= live[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if not frontier:
+            return value, fout, seen
+        b = dst
+        for level in reversed(levels):
+            # a live arc into b is an unsaturated arc or a reversed flow arc
+            bbit = 1 << b
+            cand = level & (arcs_in[b] | fout[b])
+            while True:
+                low = cand & -cand
+                a = low.bit_length() - 1
+                if live[a] & bbit:
+                    break
+                cand ^= low
+            if fout[b] & low:  # cancel a unit on b -> a
+                fout[b] ^= low
+                if not arcs_in[b] & low:
+                    live[a] ^= bbit
             else:
-                cand = [a + 1]
-                cand.extend(2 * u + 1 for u in nbrs[v])
-            for b in cand:
-                if b in ra and parent[b] == -1:
-                    parent[b] = a
-                    if b == T:
-                        hit = True
-                        break
-                    dq.append(b)
-        if not hit:
-            break
-        b = T
-        while b != S:
-            a = parent[b]
-            res[a].discard(b)
-            res[b].add(a)
+                fout[a] |= bbit
+                live[a] ^= bbit
+            live[b] |= low
             b = a
         value += 1
-    return value, res
+    return value, fout, None
 
 
-def _vertex_residual_cut(g: Graph, nbrs, s: int, t: int, res) -> tuple:
-    """The minimum vertex cut read off a finished residual: vertices
-    whose in-node is reachable from the source but whose out-node is not."""
-    n2 = 2 * g.n
-    S = 2 * s + 1
-    seen = [False] * n2
-    seen[S] = True
-    dq = deque([S])
-    while dq:
-        a = dq.popleft()
-        v = a >> 1
-        ra = res[a]
-        if a & 1:
-            cand = [a - 1]
-            cand.extend(2 * u for u in nbrs[v])
-        else:
-            cand = [a + 1]
-            cand.extend(2 * u + 1 for u in nbrs[v])
-        for b in cand:
-            if b in ra and not seen[b]:
-                seen[b] = True
-                dq.append(b)
-    return tuple(
-        v for v in range(g.n) if seen[2 * v] and not seen[2 * v + 1]
-    )
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _vertex_flow_paths(g: Graph, nbrs, s: int, t: int, value: int, res):
-    # net flow arcs are the forward arcs missing from the residual
-    out = [[] for _ in range(2 * g.n)]
-    for v in range(g.n):
-        if v != s and v != t and (2 * v + 1) not in res[2 * v]:
-            out[2 * v].append(2 * v + 1)
-    for u in range(g.n):
-        ru = res[2 * u + 1]
-        for v in nbrs[u]:
-            if 2 * v not in ru:
-                out[2 * u + 1].append(2 * v)
-    for lst in out:
-        lst.sort()
-    S, T = 2 * s + 1, 2 * t
+def _cut(out, seen: int, split: bool) -> tuple:
+    """The witness of a maximum flow: the arcs leaving its residual reached
+    set, as the vertices they enter (split) or as edges, sorted."""
+    found = set()
+    for a in _bits(seen):
+        for b in _bits(out[a] & ~seen):
+            found.add(b >> 1 if split else (min(a, b), max(a, b)))
+    return tuple(sorted(found))
+
+
+def _paths(fout, src: int, dst: int, value: int, split: bool) -> tuple:
+    """``value`` paths read off a flow.  From src, each step takes the
+    lowest flow arc out of the current node; split nodes map to their
+    vertex and closed detours are dropped."""
+    shift = 1 if split else 0
     paths = []
     for _ in range(value):
-        path = [s]
-        a = S
-        while a != T:
-            b = out[a].pop(0)
-            if not (b & 1):
-                path.append(b >> 1)
-            a = b
+        a = src
+        path = [a >> shift]
+        at = {path[0]: 0}
+        while a != dst:
+            low = fout[a] & -fout[a]
+            fout[a] ^= low
+            a = low.bit_length() - 1
+            v = a >> shift
+            if v == path[-1]:
+                continue
+            if v in at:
+                for u in path[at[v] + 1 :]:
+                    del at[u]
+                del path[at[v] + 1 :]
+            else:
+                at[v] = len(path)
+                path.append(v)
         paths.append(tuple(path))
     return tuple(paths)
+
+
+def _disjoint_paths(g: Graph, s: int, t: int, split: bool) -> PathSystem:
+    _check_endpoints(g, s, t)
+    src, dst = (2 * s + 1, 2 * t) if split else (s, t)
+    out, arcs_in = _network(g, split)
+    value, fout, _ = _flow(out, arcs_in, src, dst)
+    paths = _paths(fout, src, dst, value, split)
+    return PathSystem(s, t, "vertex" if split else "edge", paths)
 
 
 def max_vertex_disjoint_paths(g: Graph, s: int, t: int) -> PathSystem:
     """A maximum system of internally vertex-disjoint s-t paths."""
-    _check_endpoints(g, s, t)
-    nbrs = _neighbor_lists(g)
-    value, res = _vertex_flow(g, nbrs, s, t)
-    return PathSystem(s, t, "vertex", _vertex_flow_paths(g, nbrs, s, t, value, res))
-
-
-# -- edge network ------------------------------------------------------------
-#
-# Plain undirected unit capacities.  Net flow is a dict holding the pushed
-# ordered pairs; the arc u->v is live in the residual exactly when (u, v)
-# is absent (pushing against a stored pair cancels it).
-
-
-def _edge_flow(g: Graph, nbrs, s: int, t: int, cap=None):
-    n = g.n
-    f = {}
-    value = 0
-    while cap is None or value < cap:
-        parent = [-1] * n
-        parent[s] = s
-        dq = deque([s])
-        hit = False
-        while dq and not hit:
-            u = dq.popleft()
-            for w in nbrs[u]:
-                if parent[w] == -1 and (u, w) not in f:
-                    parent[w] = u
-                    if w == t:
-                        hit = True
-                        break
-                    dq.append(w)
-        if not hit:
-            break
-        w = t
-        while w != s:
-            u = parent[w]
-            if (w, u) in f:
-                del f[(w, u)]
-            else:
-                f[(u, w)] = 1
-            w = u
-        value += 1
-    return value, f
-
-
-def _edge_residual_cut(g: Graph, nbrs, s: int, f) -> tuple:
-    seen = [False] * g.n
-    seen[s] = True
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        for w in nbrs[u]:
-            if not seen[w] and (u, w) not in f:
-                seen[w] = True
-                dq.append(w)
-    cut = []
-    for u in range(g.n):
-        if seen[u]:
-            for w in nbrs[u]:
-                if not seen[w]:
-                    cut.append((min(u, w), max(u, w)))
-    return tuple(sorted(cut))
-
-
-def _edge_flow_paths(s: int, t: int, value: int, f):
-    out = {}
-    for u, w in sorted(f):
-        out.setdefault(u, []).append(w)
-    paths = []
-    for _ in range(value):
-        path = [s]
-        at = {s: 0}
-        u = s
-        while u != t:
-            w = out[u].pop(0)
-            if w in at:
-                # a closed detour was consumed; drop it from the path
-                i = at[w]
-                for v in path[i + 1 :]:
-                    del at[v]
-                path = path[: i + 1]
-            else:
-                path.append(w)
-                at[w] = len(path) - 1
-            u = w
-        paths.append(tuple(path))
-    return tuple(paths)
+    return _disjoint_paths(g, s, t, split=True)
 
 
 def max_edge_disjoint_paths(g: Graph, s: int, t: int) -> PathSystem:
     """A maximum system of pairwise edge-disjoint s-t paths."""
-    _check_endpoints(g, s, t)
-    nbrs = _neighbor_lists(g)
-    value, f = _edge_flow(g, nbrs, s, t)
-    return PathSystem(s, t, "edge", _edge_flow_paths(s, t, value, f))
+    return _disjoint_paths(g, s, t, split=False)
 
 
 def _check_endpoints(g: Graph, s: int, t: int):
@@ -349,24 +296,20 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(max(n - 1, 0), None, "vertex")
     if components(g).count != 1:
         return ConnectivityResult(0, (), "vertex")
-    nbrs = _neighbor_lists(g)
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = int(degs[v0])
-    best_cut = tuple(nbrs[v0])
+    nv0 = g.neighbors(v0)
+    best_cut = tuple(nv0)
     adj = g.adj
     pairs = [(v0, t) for t in range(n) if t != v0 and not adj[v0, t]]
-    nv0 = nbrs[v0]
-    pairs.extend(
-        (u, w)
-        for u, w in combinations(nv0, 2)
-        if not adj[u, w]
-    )
+    pairs.extend((u, w) for u, w in combinations(nv0, 2) if not adj[u, w])
+    out, arcs_in = _network(g, split=True)
     for s, t in pairs:
-        value, res = _vertex_flow(g, nbrs, s, t, cap=best)
+        value, _, seen = _flow(out, arcs_in, 2 * s + 1, 2 * t, cap=best)
         if value < best:
             best = value
-            best_cut = _vertex_residual_cut(g, nbrs, s, t, res)
+            best_cut = _cut(out, seen, split=True)
     return ConnectivityResult(best, best_cut, "vertex")
 
 
@@ -381,16 +324,16 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(0, None, "edge")
     if components(g).count != 1:
         return ConnectivityResult(0, (), "edge")
-    nbrs = _neighbor_lists(g)
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = int(degs[v0])
-    best_cut = tuple(sorted((min(v0, u), max(v0, u)) for u in nbrs[v0]))
+    best_cut = tuple(sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0)))
+    out, arcs_in = _network(g, split=False)
     for t in range(1, n):
-        value, f = _edge_flow(g, nbrs, 0, t, cap=best)
+        value, _, seen = _flow(out, arcs_in, 0, t, cap=best)
         if value < best:
             best = value
-            best_cut = _edge_residual_cut(g, nbrs, 0, f)
+            best_cut = _cut(out, seen, split=False)
     return ConnectivityResult(best, best_cut, "edge")
 
 

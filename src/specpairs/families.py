@@ -49,6 +49,8 @@ __all__ = [
     "generate_family",
     "paper_witnesses",
     "FAMILY_TAGS",
+    "SINGLE_INSTANCE_FAMILIES",
+    "EVEN_K_FAMILIES",
 ]
 
 
@@ -407,38 +409,43 @@ def line_graph_family(fi: FamilyInstance) -> FamilyInstance:
     )
 
 
-FAMILY_TAGS = ("vertex", "edge", "edge-variant4", "line-of-edge")
+# tag -> (builder of the base pair from k, or None for the single k=4
+# variant; whether the family is the line graphs of that pair)
+_REGISTRY = {
+    "vertex": (vertex_pair, False),
+    "edge": (edge_pair, False),
+    "edge-variant4": (None, False),
+    "line-of-edge": (edge_pair, True),
+    "line-of-vertex": (vertex_pair, True),
+    "line-of-edge-variant4": (None, True),
+}
+FAMILY_TAGS = tuple(_REGISTRY)
+# families with one instance, built without k (k=4 is accepted too)
+SINGLE_INSTANCE_FAMILIES = tuple(
+    tag for tag, (build, _) in _REGISTRY.items() if build is None
+)
+# families defined for even k only
+EVEN_K_FAMILIES = tuple(
+    tag for tag, (build, _) in _REGISTRY.items() if build is edge_pair
+)
 
 
 def generate_family(tag: str, k=None) -> FamilyInstance:
     """Build a family instance by tag; the dispatch used by the CLI."""
-    if tag == "vertex":
-        if k is None:
-            raise ValueError("family 'vertex' needs k")
-        return vertex_pair(k)
-    if tag == "edge":
-        if k is None:
-            raise ValueError("family 'edge' needs k")
-        return edge_pair(k)
-    if tag == "edge-variant4":
+    if tag not in _REGISTRY:
+        raise ValueError(
+            f"unknown family {tag!r}; expected one of " + ", ".join(FAMILY_TAGS)
+        )
+    build, line = _REGISTRY[tag]
+    if build is None:
         if k not in (None, 4):
-            raise ValueError("family 'edge-variant4' is defined only at k=4")
-        return edge_pair_variant4()
-    if tag == "line-of-edge":
-        if k is None:
-            raise ValueError("family 'line-of-edge' needs k")
-        return line_graph_family(edge_pair(k))
-    if tag == "line-of-vertex":
-        if k is None:
-            raise ValueError("family 'line-of-vertex' needs k")
-        return line_graph_family(vertex_pair(k))
-    if tag == "line-of-edge-variant4":
-        return line_graph_family(edge_pair_variant4())
-    raise ValueError(
-        f"unknown family {tag!r}; expected one of "
-        "vertex, edge, edge-variant4, line-of-edge, line-of-vertex, "
-        "line-of-edge-variant4"
-    )
+            raise ValueError(f"family {tag!r} is defined only at k=4")
+        fi = edge_pair_variant4()
+    elif k is None:
+        raise ValueError(f"family {tag!r} needs k")
+    else:
+        fi = build(k)
+    return line_graph_family(fi) if line else fi
 
 
 # -- documented witnesses ------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -8,8 +9,8 @@ import jsonschema
 import pytest
 
 from specpairs import SwitchingPlan, decode_graph6, encode_graph6
-from specpairs.cli import _CHECKS, _Metrics, _verify_report, main
-from specpairs.families import ExpectedMetrics, FamilyInstance
+from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
+from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,30 @@ def test_table_argument_validation(capsys):
         capsys, "table", "--family", "vertex", "--kmin", "3", "--kmax", "2"
     )
     assert code == 2
+
+
+def test_table_single_instance_family(capsys):
+    # one row, whether or not a k range is given
+    for extra in ((), ("--kmin", "1", "--kmax", "3")):
+        code, out, err = run_cli(
+            capsys, "table", "--family", "line-of-edge-variant4", "--json", *extra
+        )
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1
+        assert rows[0]["order"] == 126 and rows[0]["kappa"] == [7, 6]
+
+
+def test_family_choices_follow_the_registry():
+    verbs = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for verb in ("generate", "verify", "table"):
+        family = next(
+            a for a in verbs.choices[verb]._actions if a.dest == "family"
+        )
+        assert tuple(family.choices) == FAMILY_TAGS
 
 
 # -- analyze ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,23 @@ from specpairs import (
     Graph,
     PathSystem,
     brute_force_connectivity,
+    components,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    delete_edges,
+    delete_vertices,
     disjoint_union,
     edge_connectivity,
+    edge_pair,
+    edge_pair_variant4,
     empty_graph,
+    line_graph_family,
     max_edge_disjoint_paths,
     max_vertex_disjoint_paths,
     path_graph,
     vertex_connectivity,
+    vertex_pair,
     verify_disconnecting_set,
 )
 from tests.conftest import random_graph
@@ -75,6 +84,120 @@ def test_results_are_deterministic():
     for _ in range(3):
         assert vertex_connectivity(g) == first_v
         assert edge_connectivity(g) == first_e
+
+
+def test_vertex_witness_when_a_source_arc_is_cut():
+    # for the pair (s, z2) the minimal minimum cut of the split network
+    # crosses the arc s_out -> z1_in and the split arc of y; reading off
+    # split arcs alone gives {y}, which disconnects nothing
+    names = "s v y z1 z2 z3 a b c t".split()
+    at = {x: i for i, x in enumerate(names)}
+    edges = (
+        "s-v s-y s-z1 z1-y z1-z2 z2-y z2-z3 z3-y z3-z1 "
+        "v-a v-b y-a y-b a-b a-t b-t c-t c-a c-b"
+    ).split()
+    g = Graph.from_edges(
+        len(names), [tuple(at[x] for x in e.split("-")) for e in edges]
+    )
+    r = vertex_connectivity(g)
+    assert r.value == 2 == brute_force_connectivity(g, "vertex", 2)
+    assert len(r.witness) == 2
+    assert verify_disconnecting_set(g, r.witness)
+
+
+def _connected_random_graph(n, seed, p):
+    """An Erdos-Renyi sample joined up by a random spanning tree."""
+    rng = np.random.default_rng(seed)
+    adj = random_graph(rng, n, p).adj.copy()
+    order = rng.permutation(n)
+    for i in range(1, n):
+        u, v = order[i], order[int(rng.integers(i))]
+        adj[u, v] = adj[v, u] = True
+    return Graph(n, adj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=12, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.02, max_value=0.6),
+)
+def test_flow_agrees_with_networkx(n, seed, p):
+    nx = pytest.importorskip("networkx")
+    g = _connected_random_graph(n, seed, p)
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(n))
+    kv, ke = vertex_connectivity(g), edge_connectivity(g)
+    assert kv.value == nx.node_connectivity(h)
+    assert ke.value == nx.edge_connectivity(h)
+    for r in (kv, ke):
+        if r.witness is not None:
+            assert len(r.witness) == r.value
+            assert verify_disconnecting_set(g, r.witness)
+    # local flows, uncapped, against networkx's own local connectivities
+    for s, t in ((0, n - 1), (1, n // 2), (n // 3, 2)):
+        vps = max_vertex_disjoint_paths(g, s, t)
+        eps = max_edge_disjoint_paths(g, s, t)
+        vps.validate(g)
+        eps.validate(g)
+        if not g.has_edge(s, t):
+            assert vps.count == nx.node_connectivity(h, s, t)
+        assert eps.count == nx.edge_connectivity(h, s, t)
+
+
+def test_local_flows_agree_with_networkx_on_every_pair():
+    # on this sample some augmenting path cancels flow on an edge arc of
+    # the split network, after which the reversed arc must die again
+    nx = pytest.importorskip("networkx")
+    g = random_graph(np.random.default_rng(3), 20, 0.4)
+    h = nx.Graph(g.edges())
+    for s, t in combinations(range(g.n), 2):
+        if not g.has_edge(s, t):
+            ps = max_vertex_disjoint_paths(g, s, t)
+            assert ps.count == nx.node_connectivity(h, s, t)
+            ps.validate(g)
+        ps = max_edge_disjoint_paths(g, s, t)
+        assert ps.count == nx.edge_connectivity(h, s, t)
+        ps.validate(g)
+
+
+def _menger_graphs():
+    pairs = [vertex_pair(k) for k in (2, 3, 4)]
+    pairs += [edge_pair(6), line_graph_family(edge_pair_variant4())]
+    return [
+        pytest.param(getattr(fi, which), id=f"{fi.tag}-k{fi.k}-{which}")
+        for fi in pairs
+        for which in ("gamma", "gamma_prime")
+    ]
+
+
+def _split_by(labels):
+    """The lowest vertex of each of the first two components."""
+    firsts = {}
+    for v, c in enumerate(labels):
+        firsts.setdefault(c, v)
+    assert len(firsts) >= 2
+    return firsts[0], firsts[1]
+
+
+@pytest.mark.parametrize("g", _menger_graphs())
+def test_menger_path_systems_meet_the_witnesses(g):
+    # a witness is an upper bound on the local connectivity of any pair
+    # it separates; a path system of the same size is the lower bound
+    kv = vertex_connectivity(g)
+    h, mapping = delete_vertices(g, kv.witness)
+    back = {new: old for old, new in mapping.items()}
+    s, t = (back[v] for v in _split_by(components(h).labels))
+    ps = max_vertex_disjoint_paths(g, s, t)
+    assert ps.count == kv.value
+    ps.validate(g)
+
+    ke = edge_connectivity(g)
+    h = delete_edges(g, ke.witness)
+    s, t = _split_by(components(h).labels)
+    ps = max_edge_disjoint_paths(g, s, t)
+    assert ps.count == ke.value
+    ps.validate(g)
 
 
 # -- local path systems -----------------------------------------------------------
@@ -189,7 +312,10 @@ def test_flow_agrees_with_brute_force(n, seed, p):
     kv = vertex_connectivity(g).value
     ke = edge_connectivity(g).value
     bv = brute_force_connectivity(g, "vertex", n)
-    be = brute_force_connectivity(g, "edge", max(n, 1))
+    # kappa' never exceeds the minimum degree, so that budget finds it; a
+    # budget of n would scan 2.5M edge subsets of a dense 8-vertex graph,
+    # past the oracle's ceiling
+    be = brute_force_connectivity(g, "edge", max(g.min_degree(), 1))
     complete = g.num_edges == n * (n - 1) // 2
     if complete:
         assert bv is None and kv == max(n - 1, 0)

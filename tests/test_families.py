@@ -22,7 +22,12 @@ from specpairs import (
     vertex_connectivity,
     vertex_pair,
 )
-from specpairs.families import _edge_l_matrix, _edge_y_block, _m_stack
+from specpairs.families import (
+    SINGLE_INSTANCE_FAMILIES,
+    _edge_l_matrix,
+    _edge_y_block,
+    _m_stack,
+)
 
 
 # -- base circulant -------------------------------------------------------------
@@ -220,14 +225,21 @@ def test_generate_family_dispatch(variant4):
         generate_family("vertex")
     with pytest.raises(ValueError, match="k=4"):
         generate_family("edge-variant4", 6)
-    assert set(FAMILY_TAGS) <= {
+    with pytest.raises(ValueError, match="k=4"):
+        generate_family("line-of-edge-variant4", 6)
+    assert generate_family("line-of-edge-variant4").gamma.n == 126
+    # every tag the dispatch accepts is registered, and only those
+    assert FAMILY_TAGS == (
         "vertex",
         "edge",
         "edge-variant4",
         "line-of-edge",
         "line-of-vertex",
         "line-of-edge-variant4",
-    }
+    )
+    for tag in FAMILY_TAGS:
+        k = None if tag in SINGLE_INSTANCE_FAMILIES else 6
+        assert generate_family(tag, k).tag == tag
 
 
 def test_vertex_family_witness(vertex3):

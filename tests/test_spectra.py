@@ -26,6 +26,7 @@ from specpairs import (
     two_coloring,
     zero_root_multiplicity,
 )
+from specpairs._exactpoly import _dot_mod, _prime
 from tests.conftest import random_graph
 
 
@@ -104,6 +105,19 @@ def test_modular_and_division_free_routes_agree(n, seed, p):
     g = random_graph(np.random.default_rng(seed), n, p)
     assert char_poly_adjacency(g) == berkowitz_char_poly(g.adj.astype(np.int64))
     assert char_poly_laplacian(g) == berkowitz_char_poly(laplacian_matrix(g))
+
+
+def test_dot_mod_is_exact_where_int64_dots_overflow():
+    p = _prime(0)  # the largest prime the modular route uses
+    top = p - 1
+    a = np.full(1000, top, dtype=np.int64)
+    b = np.full((1000, 3), top, dtype=np.int64)
+    exact = 1000 * top * top % p
+    # a plain int64 dot of 1000 such products wraps around
+    assert int(a @ a) != 1000 * top * top
+    assert int(_dot_mod(a, a, p)) == exact
+    assert _dot_mod(a, b, p).tolist() == [exact] * 3
+    assert _dot_mod(b.T, a, p).tolist() == [exact] * 3
 
 
 @settings(max_examples=40, deadline=None)
