@@ -73,7 +73,8 @@ class FamilyInstance:
     ``plan`` is the switching plan with gamma_prime == switch(gamma, plan),
     or None for derived (line graph) instances.  ``named`` maps block
     names to (start, stop) vertex ranges and role names to single
-    vertices.
+    vertices.  ``base`` is the instance a derived (line graph) instance
+    was built from, or None.
     """
 
     tag: str
@@ -83,6 +84,7 @@ class FamilyInstance:
     plan: object
     named: dict
     expected: ExpectedMetrics
+    base: object = None
 
 
 # -- the base circulant ------------------------------------------------------
@@ -406,6 +408,7 @@ def line_graph_family(fi: FamilyInstance) -> FamilyInstance:
         None,
         {},
         expected,
+        base=fi,
     )
 
 

@@ -6,6 +6,13 @@ equality of coefficient vectors.  The one numeric quantity that is not
 an integer, the second-smallest Laplacian eigenvalue, is returned as a
 rational enclosure certified by exact root counting; a floating-point
 eigensolver is used only to propose the interval, never to decide it.
+
+A family pair's polynomials are proved with as few charpolys as exact
+identities allow (``pair_char_polys``): the Laplacian of a regular
+graph follows from its adjacency polynomial, a switched graph is
+certified similar to its source by an integer matrix built from the
+switching plan, and the line graph of a regular graph follows from the
+base graph's polynomial by Sachs' identity.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ __all__ = [
     "laplacian_matrix",
     "char_poly_adjacency",
     "char_poly_laplacian",
+    "similarity_certificate",
+    "PairSpectra",
+    "pair_char_polys",
     "berkowitz_char_poly",
     "cospectral",
     "zero_root_multiplicity",
@@ -110,8 +120,159 @@ def char_poly_adjacency(g: Graph) -> IntPolynomial:
 
 @lru_cache(maxsize=64)
 def char_poly_laplacian(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - (D - A))."""
+    """Exact characteristic polynomial det(xI - (D - A)).
+
+    For a d-regular graph this is the identity (-1)^n p_A(d - x), so it
+    costs no charpoly beyond the adjacency one.
+    """
+    if g.n and g.is_regular():
+        return _regular_laplacian(char_poly_adjacency(g), int(g.degrees()[0]))
     return IntPolynomial(_exactpoly.charpoly(laplacian_matrix(g)))
+
+
+def _regular_laplacian(p: IntPolynomial, d: int) -> IntPolynomial:
+    """The Laplacian polynomial of a d-regular graph with adjacency
+    polynomial p: det(xI - (dI - A)) = (-1)^n p(d - x)."""
+    n = len(p.coeffs) - 1
+    shifted = _exactpoly.taylor_shift(list(p.coeffs), d)  # p(x + d)
+    return IntPolynomial(
+        c if (n - i) % 2 == 0 else -c for i, c in enumerate(shifted)
+    )
+
+
+def _line_graph_poly(p: IntPolynomial, d: int, extra: int) -> IntPolynomial:
+    """Sachs' identity: the adjacency polynomial of the line graph of a
+    d-regular graph with adjacency polynomial p and ``extra`` = m - n
+    more edges than vertices is (x + 2)^(m - n) p(x - d + 2)."""
+    coeffs = _exactpoly.taylor_shift(list(p.coeffs), 2 - d)
+    for _ in range(extra):
+        coeffs = [2 * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    return IntPolynomial(coeffs)
+
+
+def _plan_matrix(plan):
+    """(M, l) with M = l*Q for the plan's orthogonal switching matrix Q:
+    Q = (2/m)J - I on each class of size m and I elsewhere, and l the
+    least multiple of every m/gcd(m, 2), which makes M integral."""
+    sizes = [len(c) for c in plan.classes]
+    ell = math.lcm(*(m // math.gcd(m, 2) for m in sizes)) if sizes else 1
+    mat = ell * np.eye(plan.n, dtype=np.int64)
+    for cls in plan.classes:
+        idx = np.asarray(cls, dtype=np.intp)
+        block = np.full((idx.size, idx.size), 2 * ell // idx.size, dtype=np.int64)
+        np.fill_diagonal(block, 2 * ell // idx.size - ell)
+        mat[np.ix_(idx, idx)] = block
+    return mat, ell
+
+
+def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
+    """The matrices ("adjacency", "laplacian") for which the switching
+    plan proves h cospectral with g.
+
+    With M = l*Q from ``_plan_matrix``, M^T M = l^2 I makes Q = M/l
+    orthogonal, and then M^T X M = l^2 X' shows X' = Q^T X Q similar to
+    X, for X the adjacency matrix or the Laplacian.  Every check is exact
+    int64 arithmetic.  A matrix left out is only not proven by this
+    certificate: the graphs may still share its spectrum.
+    """
+    if not (plan.n == g.n == h.n):
+        return frozenset()
+    mat, ell = _plan_matrix(plan)
+    # a column of M has absolute sum at most 3l and |L_ij| <= n, so every
+    # entry of M^T X M, and every partial sum on the way to it, is at
+    # most 9 l^2 n in absolute value; below 2^63 int64 holds it exactly
+    if 9 * ell * ell * max(g.n, 1) >= 1 << 63:
+        return frozenset()
+    scale = ell * ell
+    if not np.array_equal(mat.T @ mat, scale * np.eye(g.n, dtype=np.int64)):
+        return frozenset()
+    pairs = {
+        "adjacency": (g.adj.astype(np.int64), h.adj.astype(np.int64)),
+        "laplacian": (laplacian_matrix(g), laplacian_matrix(h)),
+    }
+    return frozenset(
+        name for name, (x, y) in pairs.items()
+        if np.array_equal(mat.T @ x @ mat, scale * y)
+    )
+
+
+@dataclass(frozen=True)
+class PairSpectra:
+    """The proven char polys of a pair (gamma, gamma_prime).
+
+    ``adjacency`` and ``laplacian`` hold (p_gamma, p_gamma_prime);
+    ``route`` maps "adjacency" and "laplacian" to the step that proved
+    the pair's polynomials for that matrix beyond the charpoly of one
+    base graph: "charpoly" (each side computed directly), "similarity"
+    (gamma_prime's taken from gamma's by ``similarity_certificate``) or
+    "identity" (both derived from already proven polynomials, by the
+    regular Laplacian identity or by Sachs' line-graph identity).
+    """
+
+    adjacency: tuple
+    laplacian: tuple
+    route: dict
+
+
+def _sachs_applies(fi) -> bool:
+    """Whether Sachs' identity gives a line-graph instance's polynomials
+    from its base pair: both base graphs d-regular with d >= 2, and each
+    line graph's order equal to its base's edge count."""
+    if fi.base is None:
+        return False
+    return all(
+        g.n and g.is_regular() and g.degrees()[0] >= 2 and line_g.n == g.num_edges
+        for line_g, g in (
+            (fi.gamma, fi.base.gamma), (fi.gamma_prime, fi.base.gamma_prime)
+        )
+    )
+
+
+def pair_char_polys(fi) -> PairSpectra:
+    """Adjacency and Laplacian char polys of ``fi.gamma`` and
+    ``fi.gamma_prime``, each proven exactly in integer arithmetic.
+
+    The adjacency pair comes from Sachs' identity applied to the base
+    pair's proven polynomials (line-graph instances), else from one
+    charpoly plus the plan's similarity certificate, else from two
+    charpolys; a pair whose certificate fails therefore still gets its
+    true polynomials.  A regular pair's Laplacians follow from the
+    adjacency polynomials by identity, any other pair's from the
+    certificate or from two charpolys.
+    """
+    g, h = fi.gamma, fi.gamma_prime
+    similar = frozenset()
+    if fi.plan is not None:
+        similar = similarity_certificate(g, h, fi.plan)
+    if _sachs_applies(fi):
+        base = fi.base
+        proven = pair_char_polys(base).adjacency
+        adjacency = tuple(
+            _line_graph_poly(p, int(b.degrees()[0]), b.num_edges - b.n)
+            for p, b in zip(proven, (base.gamma, base.gamma_prime))
+        )
+        adj_route = "identity"
+    elif "adjacency" in similar:
+        p = char_poly_adjacency(g)
+        adjacency, adj_route = (p, p), "similarity"
+    else:
+        adjacency = (char_poly_adjacency(g), char_poly_adjacency(h))
+        adj_route = "charpoly"
+    if g.n and g.is_regular() and h.is_regular():
+        laplacian = tuple(
+            _regular_laplacian(p, int(x.degrees()[0]))
+            for p, x in zip(adjacency, (g, h))
+        )
+        lap_route = "identity"
+    elif "laplacian" in similar:
+        p = char_poly_laplacian(g)
+        laplacian, lap_route = (p, p), "similarity"
+    else:
+        laplacian = (char_poly_laplacian(g), char_poly_laplacian(h))
+        lap_route = "charpoly"
+    return PairSpectra(
+        adjacency, laplacian, {"adjacency": adj_route, "laplacian": lap_route}
+    )
 
 
 def berkowitz_char_poly(matrix) -> IntPolynomial:
@@ -157,7 +318,7 @@ def spectrum_symmetric(p: IntPolynomial) -> bool:
 
 
 def second_smallest_laplacian_eigenvalue(
-    g: Graph, tol: Fraction = Fraction(1, 1 << 20)
+    g: Graph, tol: Fraction = Fraction(1, 1 << 20), laplacian_poly=None
 ) -> RationalInterval:
     """A certified rational enclosure of the algebraic connectivity.
 
@@ -169,13 +330,17 @@ def second_smallest_laplacian_eigenvalue(
     and a failed suggestion falls back to exact bisection.
 
     Disconnected graphs return the exact degenerate interval [0, 0].
+    ``laplacian_poly`` may pass g's Laplacian char poly when it is
+    already proven (see ``pair_char_polys``); by default it is computed.
     """
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = char_poly_laplacian(g)
+    p = char_poly_laplacian(g) if laplacian_poly is None else laplacian_poly
+    if len(p.coeffs) != g.n + 1:
+        raise ValueError(f"Laplacian polynomial has degree {p.degree}, not {g.n}")
     q = list(p.coeffs[1:])  # deflate the guaranteed root at 0
     if q[0] == 0:
         return RationalInterval(0, 0)

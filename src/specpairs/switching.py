@@ -9,9 +9,11 @@ vertex outside them is "free".  The plan is admissible when
      each class X_i.
 
 Switching complements the adjacency between each class and exactly
-those free vertices seeing half of it.  The operation preserves both
-the adjacency and Laplacian spectra and is an involution; ``switch``
-refuses inadmissible plans so those guarantees always hold on outputs.
+those free vertices seeing half of it.  The operation preserves the
+adjacency spectrum and is an involution; ``switch`` refuses
+inadmissible plans so those guarantees always hold on outputs.  The
+Laplacian spectrum is preserved too when the graph is regular, but an
+irregular graph's can change.
 """
 
 from __future__ import annotations

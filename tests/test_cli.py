@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from specpairs import SwitchingPlan, decode_graph6, encode_graph6
+from specpairs import SwitchingPlan, decode_graph6, encode_graph6, vertex_pair
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
@@ -111,6 +111,36 @@ def test_verify_reports_failure_for_wrong_claims(vertex3):
     assert "claimed 5" in check["detail"]
 
 
+def test_verify_reports_the_route_of_each_proof(capsys, schema):
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "vertex", "--k", "2",
+        "--checks", "cospectral,kappa,fiedler,linegraph", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    routes = {c["name"]: c.get("route") for c in report["checks"]}
+    assert routes == {
+        "cospectral": {"adjacency": "similarity", "laplacian": "identity"},
+        "kappa": None,
+        "fiedler": {"laplacian": "identity"},
+        "linegraph": {"adjacency": "identity"},
+    }
+
+
+def test_verify_refuses_the_line_graph_of_a_line_graph(capsys, monkeypatch):
+    def never(fi):
+        raise AssertionError("built a line graph past the ceiling")
+
+    monkeypatch.setattr("specpairs.cli.line_graph_family", never)
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "line-of-edge", "--k", "6",
+        "--checks", "linegraph",
+    )
+    assert code == 2
+    assert "order 4056" in err and "ceiling" in err
+
+
 def test_connectivity_check_info_when_no_claim(variant4):
     check = _CHECKS["kappa"](variant4, _Metrics(variant4))
     assert check["status"] == "INFO"
@@ -139,6 +169,18 @@ def test_table_json_schema(capsys, schema):
     jsonschema.validate(report, schema)
     assert [r["k"] for r in report["rows"]] == [6, 8]
     assert report["rows"][0]["kappa_prime"] == [13, 12]
+    assert all(r["cospectral"] for r in report["rows"])
+
+
+def test_table_rows_report_the_route(capsys, schema):
+    code, out, err = run_cli(
+        capsys, "table", "--family", "line-of-vertex", "--kmin", "2",
+        "--kmax", "3", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert [r["route"] for r in report["rows"]] == [{"adjacency": "identity"}] * 2
     assert all(r["cospectral"] for r in report["rows"])
 
 
@@ -240,6 +282,24 @@ def test_switch_round_trip(tmp_path, capsys, vertex3):
     )
     assert code == 0
     assert decode_graph6(out.strip()) == vertex3.gamma
+
+
+def test_switch_proves_cospectrality_by_certificate(tmp_path, capsys, monkeypatch):
+    def never(g, h):
+        raise AssertionError("computed charpolys despite the plan")
+
+    monkeypatch.setattr("specpairs.cli.cospectral", never)
+    fi = vertex_pair(4)
+    graph_file = tmp_path / "g.g6"
+    graph_file.write_text(encode_graph6(fi.gamma) + "\n")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(fi.plan.to_json())
+    code, out, err = run_cli(
+        capsys, "switch", "--in", str(graph_file), "--plan", str(plan_file)
+    )
+    assert code == 0
+    assert "cospectral (adjacency, exact): True" in err
+    assert decode_graph6(out.strip()) == fi.gamma_prime
 
 
 def test_switch_rejects_inadmissible_plan(tmp_path, capsys):

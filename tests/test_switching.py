@@ -127,6 +127,15 @@ def test_family_plan_round_trips(vertex3, edge6, variant4):
         assert cospectral(fi.gamma, fi.gamma_prime, matrix="laplacian")
 
 
+def test_switching_an_irregular_graph_can_change_the_laplacian_spectrum():
+    edges = [(0, 2), (0, 4), (1, 3), (1, 4), (1, 7), (1, 8), (2, 4), (2, 5),
+             (2, 8), (3, 4), (3, 5), (3, 7), (4, 6), (4, 7), (5, 7)]
+    g = Graph.from_edges(9, edges)
+    h = switch(g, SwitchingPlan(9, [range(4)]))
+    assert cospectral(g, h)
+    assert not cospectral(g, h, matrix="laplacian")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
