@@ -61,10 +61,12 @@ DEFAULT_CHECKS = ("cospectral", "kappa", "kappa_prime", "whitney")
 FIEDLER_TOL = Fraction(1, 1 << 20)
 
 # the linegraph check builds the line graph of the pair and proves its
-# vertex connectivity by max-flow, which grows about as the cube of the
-# order (6 s at order 684, 29 s at 1150 on a 2-CPU machine): past this
-# order a pair takes several minutes
-LINE_GRAPH_CEILING = 2000
+# vertex connectivity by max-flow.  Measured on a 2-CPU machine, the
+# check takes 182 s at order 1736 (edge k=12) and 684 s at order 2442
+# (edge k=14).  The ceiling sits just below the line graph of a line
+# graph, L(L(edge_pair(6).gamma)) of order 4056, and refuses nothing
+# smaller
+LINE_GRAPH_CEILING = 4000
 
 
 # -- lazy per-pair metric cache ------------------------------------------------
@@ -298,7 +300,7 @@ def _check_linegraph(fi, metrics):
         lf = line_graph_family(fi)
         degree = int(fi.gamma.degrees().max())
         out = {"order": lf.gamma.n, "degree": int(lf.gamma.degrees().max())}
-        spectra = pair_char_polys(lf)
+        spectra = pair_char_polys(lf, base_spectra=metrics.spectra())
         route["adjacency"] = spectra.route["adjacency"]
         out["cospectral_adjacency"] = spectra.adjacency[0] == spectra.adjacency[1]
         for which, line_g in (("gamma", lf.gamma), ("gamma_prime", lf.gamma_prime)):

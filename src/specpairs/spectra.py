@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _exactpoly
-from .graph import Graph
+from .graph import Graph, line_graph
 
 __all__ = [
     "IntPolynomial",
@@ -150,19 +150,23 @@ def _line_graph_poly(p: IntPolynomial, d: int, extra: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _plan_matrix(plan):
-    """(M, l) with M = l*Q for the plan's orthogonal switching matrix Q:
-    Q = (2/m)J - I on each class of size m and I elsewhere, and l the
-    least multiple of every m/gcd(m, 2), which makes M integral."""
+def _plan_scale(plan) -> int:
+    """The least l that makes l*Q integral for the plan's orthogonal
+    switching matrix Q: the lcm over classes of size m of m/gcd(m, 2)."""
     sizes = [len(c) for c in plan.classes]
-    ell = math.lcm(*(m // math.gcd(m, 2) for m in sizes)) if sizes else 1
+    return math.lcm(*(m // math.gcd(m, 2) for m in sizes)) if sizes else 1
+
+
+def _plan_matrix(plan, ell: int) -> np.ndarray:
+    """M = l*Q, with Q = (2/m)J - I on each class of size m and I
+    elsewhere; ``ell`` is ``_plan_scale(plan)``."""
     mat = ell * np.eye(plan.n, dtype=np.int64)
     for cls in plan.classes:
         idx = np.asarray(cls, dtype=np.intp)
         block = np.full((idx.size, idx.size), 2 * ell // idx.size, dtype=np.int64)
         np.fill_diagonal(block, 2 * ell // idx.size - ell)
         mat[np.ix_(idx, idx)] = block
-    return mat, ell
+    return mat
 
 
 def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
@@ -177,12 +181,15 @@ def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
     """
     if not (plan.n == g.n == h.n):
         return frozenset()
-    mat, ell = _plan_matrix(plan)
+    ell = _plan_scale(plan)
     # a column of M has absolute sum at most 3l and |L_ij| <= n, so every
     # entry of M^T X M, and every partial sum on the way to it, is at
-    # most 9 l^2 n in absolute value; below 2^63 int64 holds it exactly
+    # most 9 l^2 n in absolute value; below 2^63 int64 holds it exactly.
+    # The bound is checked before M is built, since l itself may not
+    # fit in an int64
     if 9 * ell * ell * max(g.n, 1) >= 1 << 63:
         return frozenset()
+    mat = _plan_matrix(plan, ell)
     scale = ell * ell
     if not np.array_equal(mat.T @ mat, scale * np.eye(g.n, dtype=np.int64)):
         return frozenset()
@@ -217,18 +224,20 @@ class PairSpectra:
 def _sachs_applies(fi) -> bool:
     """Whether Sachs' identity gives a line-graph instance's polynomials
     from its base pair: both base graphs d-regular with d >= 2, and each
-    line graph's order equal to its base's edge count."""
+    graph of the instance equal to the line graph of its base graph, as
+    ``families.line_graph_family`` builds it."""
     if fi.base is None:
         return False
     return all(
-        g.n and g.is_regular() and g.degrees()[0] >= 2 and line_g.n == g.num_edges
+        g.n and g.is_regular() and g.degrees()[0] >= 2
+        and line_g.n == g.num_edges and line_graph(g) == line_g
         for line_g, g in (
             (fi.gamma, fi.base.gamma), (fi.gamma_prime, fi.base.gamma_prime)
         )
     )
 
 
-def pair_char_polys(fi) -> PairSpectra:
+def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
     """Adjacency and Laplacian char polys of ``fi.gamma`` and
     ``fi.gamma_prime``, each proven exactly in integer arithmetic.
 
@@ -238,7 +247,9 @@ def pair_char_polys(fi) -> PairSpectra:
     charpolys; a pair whose certificate fails therefore still gets its
     true polynomials.  A regular pair's Laplacians follow from the
     adjacency polynomials by identity, any other pair's from the
-    certificate or from two charpolys.
+    certificate or from two charpolys.  ``base_spectra``, when given, is
+    ``pair_char_polys(fi.base)`` already computed by the caller, and is
+    used in place of proving the base pair again.
     """
     g, h = fi.gamma, fi.gamma_prime
     similar = frozenset()
@@ -246,7 +257,9 @@ def pair_char_polys(fi) -> PairSpectra:
         similar = similarity_certificate(g, h, fi.plan)
     if _sachs_applies(fi):
         base = fi.base
-        proven = pair_char_polys(base).adjacency
+        if base_spectra is None:
+            base_spectra = pair_char_polys(base)
+        proven = base_spectra.adjacency
         adjacency = tuple(
             _line_graph_poly(p, int(b.degrees()[0]), b.num_edges - b.n)
             for p, b in zip(proven, (base.gamma, base.gamma_prime))

@@ -8,7 +8,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from specpairs import SwitchingPlan, decode_graph6, encode_graph6, vertex_pair
+from specpairs import (
+    SwitchingPlan,
+    decode_graph6,
+    empty_graph,
+    encode_graph6,
+    vertex_pair,
+)
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
@@ -300,6 +306,25 @@ def test_switch_proves_cospectrality_by_certificate(tmp_path, capsys, monkeypatc
     assert code == 0
     assert "cospectral (adjacency, exact): True" in err
     assert decode_graph6(out.strip()) == fi.gamma_prime
+
+
+def test_switch_with_a_scale_past_int64_falls_back_to_charpolys(tmp_path, capsys):
+    # classes of the odd primes up to 53 on the empty graph of order 379:
+    # the certificate's scale l, their product, does not fit in an int64
+    sizes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    classes, at = [], 0
+    for m in sizes:
+        classes.append(list(range(at, at + m)))
+        at += m
+    graph_file = tmp_path / "g.g6"
+    graph_file.write_text(encode_graph6(empty_graph(at)) + "\n")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(SwitchingPlan(at, classes).to_json())
+    code, out, err = run_cli(
+        capsys, "switch", "--in", str(graph_file), "--plan", str(plan_file)
+    )
+    assert code == 0
+    assert "cospectral (adjacency, exact): True" in err
 
 
 def test_switch_rejects_inadmissible_plan(tmp_path, capsys):

@@ -13,6 +13,7 @@ from specpairs import (
     char_poly_laplacian,
     cycle_graph,
     edge_pair,
+    empty_graph,
     edge_pair_variant4,
     laplacian_matrix,
     line_graph_family,
@@ -132,6 +133,23 @@ def test_certificate_needs_matching_orders(vertex3):
     assert not similarity_certificate(vertex3.gamma, vertex3.gamma_prime, plan)
 
 
+def prime_classes_plan():
+    """An admissible plan on the empty graph of order 379 = 3 + 5 + ... + 53
+    whose classes have the odd primes up to 53 as sizes, so that l, their
+    product, is about 1.6e19 and does not fit in an int64."""
+    sizes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    starts = np.cumsum([0] + sizes)
+    n = int(starts[-1])
+    return n, SwitchingPlan(n, [range(a, a + m) for a, m in zip(starts, sizes)])
+
+
+def test_certificate_refuses_a_scale_past_int64():
+    n, plan = prime_classes_plan()
+    assert spectra._plan_scale(plan) >= 1 << 63
+    g = empty_graph(n)
+    assert similarity_certificate(g, switch(g, plan), plan) == frozenset()
+
+
 # -- (c) Sachs' identity for line-graph pairs -----------------------------------------
 
 
@@ -157,6 +175,41 @@ def test_sachs_identity_needs_the_matching_base(vertex3):
     ps = pair_char_polys(wrong)
     assert ps.route["adjacency"] == "charpoly"
     assert ps.adjacency == pair_char_polys(lf).adjacency
+
+
+def test_tampered_line_graph_pair_is_reported_different(vertex3):
+    # one edge flip keeps the order equal to the base's edge count, so
+    # only comparing with the base's line graph catches it
+    lf = line_graph_family(vertex3)
+    adj = lf.gamma_prime.adj.copy()
+    adj[0, 40] = adj[40, 0] = not adj[0, 40]
+    tampered = FamilyInstance(
+        lf.tag, lf.k, lf.gamma, Graph(lf.gamma.n, adj), None, lf.named,
+        lf.expected, base=lf.base,
+    )
+    ps = pair_char_polys(tampered)
+    assert ps.route["adjacency"] == "charpoly"
+    assert ps.adjacency[1] == direct(adj)
+    report = _verify_report(tampered, ("cospectral",), None)
+    check = report["checks"][0]
+    assert report["verdict"] == "FAIL" and check["status"] == "FAIL"
+    assert check["route"]["adjacency"] == "charpoly"
+    assert check["computed"]["adjacency"] is False
+
+
+def test_linegraph_check_proves_the_base_pair_once(monkeypatch):
+    calls = []
+    real = spectra.similarity_certificate
+
+    def counting(g, h, plan):
+        calls.append(g.n)
+        return real(g, h, plan)
+
+    monkeypatch.setattr(spectra, "similarity_certificate", counting)
+    report = _verify_report(edge_pair_variant4(), ("cospectral", "linegraph"), None)
+    assert report["verdict"] == "PASS"
+    assert report["checks"][1]["route"] == {"adjacency": "identity"}
+    assert calls == [36]
 
 
 # -- one charpoly per family ------------------------------------------------------
