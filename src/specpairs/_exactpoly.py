@@ -8,9 +8,14 @@ Two independent routes to char polys, both exact:
   below 2^27, so a sum of up to 511 products of residues stays below
   2^63 (511 * p^2 < 2^63).  Every int64 dot product sums chunks of at
   most 511 terms and reduces each chunk mod p, which keeps it exact at
-  any order while numpy does the inner loops.  The prime budget is
-  derived from a rigorous coefficient bound, so the result is exact,
-  not heuristic.
+  any order while numpy does the inner loops.  Residues are reduced as
+  ``x - (x // p) * p``, which equals ``x % p`` but is several times
+  faster in numpy.  The prime budget covers a rigorous coefficient
+  bound, so the result is exact, not heuristic: c_{n-m} is (-1)^m times
+  the sum of the m x m principal minors, Hadamard's inequality bounds
+  each minor by the product of its rows' norms, and a row of a minor is
+  no longer than the whole row, so |c_{n-m}| <= e_m(|A_1|, ..., |A_n|),
+  the m-th elementary symmetric polynomial of the row norms.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
@@ -27,6 +32,7 @@ comparison is decided entirely in integer arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -72,9 +78,32 @@ def _prime(i: int) -> int:
     return _primes[i]
 
 
+def _primes_covering(target: int) -> list:
+    """The fewest leading primes whose product is at least ``target``."""
+    primes = []
+    modulus = 1
+    while modulus < target:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    return primes
+
+
 # 511 * (2^27 - 1)^2 + 2^27 < 2^63: a reduced partial sum plus one chunk
 # of this many residue products fits in an int64
 _DOT_CHUNK = 511
+
+
+def _mod(x, p: int):
+    """``x % p`` for int64 arrays or scalars and p > 0.
+
+    numpy floor-divides by a scalar with a precomputed reciprocal
+    (libdivide) but does not speed up ``%`` that way, so this form is
+    several times faster.  The two agree for every int64 x: the floor
+    quotient makes the result lie in [0, p), and int64 arithmetic wraps
+    modulo 2^64, so a wrapped ``(x // p) * p`` still gives the true
+    difference.
+    """
+    return x - (x // p) * p
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int):
@@ -83,9 +112,9 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int):
     Contracts the last axis of a with the first axis of b in chunks of at
     most ``_DOT_CHUNK`` terms, reducing mod p after each chunk.
     """
-    total = a[..., :_DOT_CHUNK] @ b[:_DOT_CHUNK] % p
+    total = _mod(a[..., :_DOT_CHUNK] @ b[:_DOT_CHUNK], p)
     for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
-        total = (total + a[..., i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK]) % p
+        total = _mod(total + a[..., i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK], p)
     return total
 
 
@@ -94,10 +123,12 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
 
     Reduces to upper Hessenberg form by similarity (row eliminations
     mirrored by column operations), then runs the standard recurrence on
-    leading principal minors of xI - H.
+    leading principal minors of xI - H.  Step j updates rows below j+1
+    only in columns j+1 and on: column j below the subdiagonal would
+    become zero, and nothing reads it again.
     """
     n = mat.shape[0]
-    H = np.mod(mat.astype(np.int64), p)
+    H = _mod(mat.astype(np.int64), p)
     for j in range(n - 2):
         # pivot below the subdiagonal
         col = H[j + 1 :, j]
@@ -109,9 +140,11 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
             H[[j + 1, piv], :] = H[[piv, j + 1], :]
             H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
         inv = pow(int(H[j + 1, j]), p - 2, p)
-        mult = (H[j + 2 :, j] * inv) % p
-        H[j + 2 :, :] = (H[j + 2 :, :] - np.outer(mult, H[j + 1, :])) % p
-        H[:, j + 1] = (H[:, j + 1] + _dot_mod(H[:, j + 2 :], mult, p)) % p
+        mult = _mod(H[j + 2 :, j] * inv, p)
+        H[j + 2 :, j + 1 :] = _mod(
+            H[j + 2 :, j + 1 :] - np.outer(mult, H[j + 1, j + 1 :]), p
+        )
+        H[:, j + 1] = _mod(H[:, j + 1] + _dot_mod(H[:, j + 2 :], mult, p), p)
 
     # P[m] = char poly of the m-th leading minor of xI - H, low-to-high.
     # For Hessenberg H the expansion along the last column gives
@@ -123,33 +156,51 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     prod = np.ones(n, dtype=np.int64)
     for m in range(1, n + 1):
         if m >= 2:
-            prod[: m - 1] = prod[: m - 1] * int(H[m - 1, m - 2]) % p
+            prod[: m - 1] = _mod(prod[: m - 1] * int(H[m - 1, m - 2]), p)
         a = int(H[m - 1, m - 1])
         P[m, 1 : m + 1] = P[m - 1, :m]
-        P[m, :m] = (P[m, :m] - a * P[m - 1, :m]) % p
+        P[m, :m] = _mod(P[m, :m] - a * P[m - 1, :m], p)
         if m >= 2:
-            w = H[: m - 1, m - 1] * prod[: m - 1] % p
+            w = _mod(H[: m - 1, m - 1] * prod[: m - 1], p)
             if w.any():
-                P[m, :m] = (P[m, :m] - _dot_mod(w, P[: m - 1, :m], p)) % p
+                P[m, :m] = _mod(P[m, :m] - _dot_mod(w, P[: m - 1, :m], p), p)
     return P[n]
+
+
+# row norms are rounded up to multiples of 2^-_NORM_BITS; the rounding
+# loosens each factor of e_m by a relative 2^-16 at most
+_NORM_BITS = 16
 
 
 def _coefficient_bound(mat: np.ndarray) -> int:
     """A bound B with |c_k| <= B for all char poly coefficients.
 
-    Uses |c_{n-m}| <= C(n, m) * (max row squared norm)^{m/2}, a direct
-    consequence of expressing coefficients as sums of principal minors
-    and bounding each minor by Hadamard's inequality.
+    c_{n-m} is (-1)^m times the sum of the m x m principal minors, and
+    Hadamard's inequality bounds each minor by the product of its rows'
+    norms, each at most the norm of the whole row of ``mat``.  So
+    |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
+    polynomial of the row norms.  It is computed exactly: squared row
+    norms in Python ints, each norm rounded up to r_i / 2^_NORM_BITS,
+    and e_m(r) / 2^(m _NORM_BITS) rounded up.  Each term is capped by
+    the older, never tighter C(n, m) * (max row norm)^m, which the
+    rounding could otherwise exceed on equal row norms, so B is never
+    above that older bound.
     """
     n = mat.shape[0]
-    m64 = mat.astype(np.int64)
-    b2 = int((m64 * m64).sum(axis=1).max()) if n else 0
+    squares = [sum(map(operator.mul, row, row)) for row in np.asarray(mat).tolist()]
+    e = [1]  # e[m] = e_m(r_1, ..., r_i) after i rows
+    for s in squares:
+        scaled = s << (2 * _NORM_BITS)
+        r = math.isqrt(scaled)
+        if r * r < scaled:
+            r += 1
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    b2 = max(max(squares, default=0), 1)
     best = 1
     for m in range(n + 1):
-        sq = math.comb(n, m) ** 2 * max(b2, 1) ** m
-        cand = math.isqrt(sq) + 1
-        if cand > best:
-            best = cand
+        hadamard = -(-e[m] >> (m * _NORM_BITS))
+        uniform = math.isqrt(math.comb(n, m) ** 2 * b2**m) + 1
+        best = max(best, min(hadamard, uniform))
     return best
 
 
@@ -160,19 +211,8 @@ def charpoly(mat: np.ndarray) -> list:
     n = m.shape[0]
     if n == 0:
         return [1]
-    bound = _coefficient_bound(m)
-    target = 2 * bound + 1
-
-    residues = []
-    primes_used = []
-    modulus = 1
-    i = 0
-    while modulus < target:
-        p = _prime(i)
-        i += 1
-        residues.append(_hessenberg_charpoly_mod(m, p))
-        primes_used.append(p)
-        modulus *= p
+    primes_used = _primes_covering(2 * _coefficient_bound(m) + 1)
+    residues = [_hessenberg_charpoly_mod(m, p) for p in primes_used]
 
     # incremental CRT, lifted to the symmetric range at the end
     coeffs = [int(r) for r in residues[0]]
