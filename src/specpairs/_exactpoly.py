@@ -182,9 +182,9 @@ def _coefficient_bound(mat: np.ndarray) -> int:
     polynomial of the row norms.  It is computed exactly: squared row
     norms in Python ints, each norm rounded up to r_i / 2^_NORM_BITS,
     and e_m(r) / 2^(m _NORM_BITS) rounded up.  Each term is capped by
-    the older, never tighter C(n, m) * (max row norm)^m, which the
-    rounding could otherwise exceed on equal row norms, so B is never
-    above that older bound.
+    the uniform bound C(n, m) * (max row norm)^m, which e_m never
+    exceeds in exact arithmetic but the rounding could on equal row
+    norms, so B is never above the uniform bound.
     """
     n = mat.shape[0]
     squares = [sum(map(operator.mul, row, row)) for row in np.asarray(mat).tolist()]

@@ -21,14 +21,14 @@ from specpairs._exactpoly import (
 
 
 def uniform_bound(mat) -> int:
-    """The older bound max_m C(n, m) * (max row norm)^m, in Python ints."""
+    """The uniform bound max_m C(n, m) * (max row norm)^m, in Python ints."""
     n = len(mat)
     b2 = max([sum(int(x) ** 2 for x in row) for row in mat] + [1])
     return max(math.isqrt(math.comb(n, m) ** 2 * b2**m) + 1 for m in range(n + 1))
 
 
 def test_coefficient_bound_is_exact_past_int64():
-    # squaring 2^32 in int64 wraps to 0, which once made the budget one prime
+    # squaring 2^32 in int64 wraps to 0, which would make the budget one prime
     mat = np.array([[2**32, 1], [1, 2**32]], dtype=np.int64)
     want = berkowitz_charpoly(mat)
     assert want == [2**64 - 1, -(2**33), 1]
@@ -88,7 +88,7 @@ PAPER_FAMILIES = (
 @pytest.mark.parametrize("tag,k", PAPER_FAMILIES)
 def test_paper_families_take_as_many_primes_as_before(tag, k):
     # their graphs are regular, so every row has the same norm and the
-    # row-norm bound meets the older one
+    # row-norm bound meets the uniform one
     g = generate_family(tag, k).gamma
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
         old = _primes_covering(2 * uniform_bound(mat.tolist()) + 1)
