@@ -1,26 +1,42 @@
 """Exact integer characteristic polynomials and root counting.
 
-Two independent routes to char polys, both exact:
+``charpoly`` reduces det(xI - A) modulo each of several word-size primes
+and combines the residues by CRT.  The prime budget covers a rigorous
+coefficient bound, so the result is exact, not heuristic: c_{n-m} is
+(-1)^m times the sum of the m x m principal minors, Hadamard's
+inequality bounds each minor by the product of its rows' norms, and a
+row of a minor is no longer than the whole row, so
+|c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
+polynomial of the row norms.  Each residue comes from one of two
+routes, and a third, independent route checks them:
 
-* ``charpoly``: the production route.  Reduce to Hessenberg form modulo
-  each of several word-size primes (similarity transforms only), run the
-  leading-minor recurrence, and combine residues by CRT.  Primes stay
-  below 2^27, so a sum of up to 511 products of residues stays below
-  2^63 (511 * p^2 < 2^63).  Every int64 dot product sums chunks of at
-  most 511 terms and reduces each chunk mod p, which keeps it exact at
-  any order while numpy does the inner loops.  Residues are reduced as
-  ``x - (x // p) * p``, which equals ``x % p`` but is several times
-  faster in numpy.  The prime budget covers a rigorous coefficient
-  bound, so the result is exact, not heuristic: c_{n-m} is (-1)^m times
-  the sum of the m x m principal minors, Hadamard's inequality bounds
-  each minor by the product of its rows' norms, and a row of a minor is
-  no longer than the whole row, so |c_{n-m}| <= e_m(|A_1|, ..., |A_n|),
-  the m-th elementary symmetric polynomial of the row norms.
+* Krylov / Berlekamp-Massey, for sparse matrices.  The sequence
+  s_i = v^T A^i v mod p, for a fixed start vector v, satisfies the
+  recurrence of det(xI - A) by Cayley-Hamilton, so its minimal
+  polynomial m has degree at most n and divides det(xI - A) mod p.
+  Berlekamp-Massey on its first 2n terms returns m exactly.  If
+  deg m = n, then m = det(xI - A) mod p, both being monic of degree n;
+  any other residue comes from the Hessenberg route.  v is given by a
+  formula, with no random state: the input decides only which route
+  proves a residue, never the residue.  One product A x costs a gather
+  over the nonzero entries, so a prime costs O(n nnz).
+
+* Hessenberg, for every other residue.  Reduce to Hessenberg form
+  modulo p (similarity transforms only) and run the leading-minor
+  recurrence, O(n^3) per prime.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
-  code or ideas with the modular route, which makes it a useful
+  code or ideas with the modular routes, which makes it a useful
   cross-check at small orders.
+
+Primes stay below 2^27, so a sum of up to 511 products of residues
+stays below 2^63 (511 * p^2 < 2^63).  Every int64 dot product sums
+chunks of at most 511 terms and reduces each chunk mod p, and the
+Krylov route's sparse row sums add residues, not products; both stay
+exact at any order while numpy does the inner loops.  Residues are
+reduced as ``x - (x // p) * p``, which equals ``x % p`` but is several
+times faster in numpy for a scalar p.
 
 ``count_roots_greater`` counts roots exceeding a dyadic rational by
 Descartes' rule after an integer Taylor shift.  For real-rooted
@@ -167,6 +183,191 @@ def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     return P[n]
 
 
+def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Dot products of residue arrays along their last axis, reduced mod
+    p, which broadcasts against the other axes.  Chunks of at most
+    ``_DOT_CHUNK`` terms are reduced one by one, so the sums are exact in
+    int64 at any length."""
+    a, b = a[..., None, :], b[..., :, None]
+    total = (a[..., :_DOT_CHUNK] @ b[..., :_DOT_CHUNK, :])[..., 0, 0] % p
+    for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        chunk = a[..., i : i + _DOT_CHUNK] @ b[..., i : i + _DOT_CHUNK, :]
+        total = (total + chunk[..., 0, 0]) % p
+    return total
+
+
+# A matrix tries the Krylov route when at most this share of its entries
+# is nonzero.  On random symmetric 0/1 matrices of full degree the two
+# routes cost the same at about 0.45 for n = 338 and n = 500, and Krylov
+# takes 0.49 and 0.72 of the Hessenberg time at 0.3; the crossover falls
+# as n grows.  The cutoff sits below it because a derogatory matrix pays
+# for the probe and gains nothing.
+_KRYLOV_DENSITY = 0.3
+# Krylov vectors held at once
+_KRYLOV_BLOCK = 16
+# primes batched together gather at most this many terms per product, so
+# the batch's arrays stay near 8 MB where one Hessenberg prime holds n^2
+_KRYLOV_TERMS = 1 << 20
+
+
+def _krylov_start(n: int) -> np.ndarray:
+    """The Krylov route's fixed start vector: Fibonacci hashing of 1..n,
+    v_j = top 26 bits of (j + 1) * 0x9E3779B97F4A7C15 mod 2^64.  Its
+    entries are below every prime used, so no prime reduces it."""
+    j = np.arange(1, n + 1, dtype=np.uint64)
+    return ((j * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(38)).astype(np.int64)
+
+
+def _krylov_sequences(mat: np.ndarray, primes: list, N: int) -> np.ndarray:
+    """s[t, i] = v^T mat^i v mod primes[t] for i < N, v = _krylov_start(n).
+
+    All primes advance together in one (k, n) array.  The product
+    mat @ x is a CSR gather over the nonzero entries and an
+    ``np.add.reduceat`` over each row.  Entry products are reduced mod p
+    before the row sums (0/1 matrices need no product), so a row sum adds
+    at most n residues below 2^27, exact in int64 for n < 2^36; dot
+    products go through ``_rowdot_mod``.  For symmetric mat each product
+    gives two terms, s_2i = x_i . x_i and s_2i+1 = x_i . x_i+1 with
+    x_i = mat^i v.
+    """
+    n = mat.shape[0]
+    p = np.array(primes, dtype=np.int64)
+    P = p[:, None]
+    rows, cols = np.nonzero(mat)
+    vals = mat[rows, cols]
+    nonempty, starts = np.unique(rows, return_index=True)
+    binary = bool(np.all(vals == 1))
+    if not binary:
+        vals = vals[None, :] % P
+
+    def product(x):
+        terms = x[:, cols]
+        if not binary:
+            terms = terms * vals % P
+        if starts.size == n:
+            y = np.add.reduceat(terms, starts, axis=1)
+        else:
+            y = np.zeros_like(x)
+            if starts.size:
+                y[:, nonempty] = np.add.reduceat(terms, starts, axis=1)
+        return y % P
+
+    # x_0 .. x_M, kept a block at a time so that their dot products take
+    # one call per block
+    symmetric = np.array_equal(mat, mat.T)
+    M = (N + 1) // 2 if symmetric else N
+    s = np.empty((len(p), 2 * M if symmetric else M), dtype=np.int64)
+    X = np.empty((len(p), _KRYLOV_BLOCK + 1, n), dtype=np.int64)
+    X[:, 0] = _krylov_start(n)[None, :] % P
+    v = X[:, :1].copy()
+    for b in range(0, M, _KRYLOV_BLOCK):
+        h = min(_KRYLOV_BLOCK, M - b)
+        for j in range(h):
+            X[:, j + 1] = product(X[:, j])
+        if symmetric:
+            s[:, 2 * b : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, :h], P)
+            s[:, 2 * b + 1 : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, 1 : h + 1], P)
+        else:
+            s[:, b : b + h] = _rowdot_mod(v, X[:, :h], P)
+        X[:, 0] = X[:, h]
+    return s[:, :N]
+
+
+def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
+    """The minimal polynomial of each sequence s[t] over GF(primes[t]),
+    given that s[t] is the start of a sequence that a recurrence of order
+    at most n generates.  Returns [(L, poly)]: its degree and its
+    coefficients low to high, monic.
+
+    Massey's algorithm keeps the shortest recurrence that generates the
+    terms read so far, of order L.  A term it fails to generate raises
+    the order to N + 1 - L, where N + 1 terms have been read.  So once
+    L < n and N + 1 >= L + n, a failure would need order above n; none
+    can follow, L and the recurrence are final, and the scan stops.
+
+    The rows run as one batch while their discrepancies are all zero or
+    all nonzero, which makes every branch the same for all of them.  A
+    row whose discrepancy alone is zero leaves the batch and runs again
+    by itself.
+    """
+    # the connection polynomial c_0 + c_1 y + ... + c_L y^L is stored
+    # reversed at the end of each row of C, c_i in C[:, K - i], so that
+    # the discrepancy is a forward dot product with s and C[:, K - L:] is
+    # the minimal polynomial, low to high; B holds the polynomial before
+    # the last change of L alike, and b its discrepancy.  The update
+    # C <- b C - d y^m B needs no inverse; C is made monic at the end
+    k, K = s.shape
+    p = np.array(primes, dtype=np.int64)
+    C = np.zeros((k, K + 1), dtype=np.int64)
+    B = C.copy()
+    C[:, K] = B[:, K] = 1
+    b = np.ones((k, 1), dtype=np.int64)
+    batch = np.arange(k)  # the rows of s still in the batch, and their terms
+    seq = s
+    alone = []
+    L, lb, m = 0, 1, 1  # lb: length of B
+    for N in range(K):
+        d = _rowdot_mod(C[:, K - L :], seq[:, N - L : N + 1], p)
+        nonzero = np.count_nonzero(d)
+        if nonzero == 0:
+            m += 1
+        else:
+            if nonzero < len(d):
+                keep = d != 0
+                alone += batch[~keep].tolist()
+                batch, seq, p, d = batch[keep], seq[keep], p[keep], d[keep]
+                b, C, B = b[keep], C[keep], B[keep]
+            lo = min(K + 1 - m - lb, K - L)
+            if 2 * L <= N:
+                T = C[:, K - L :].copy()
+            C[:, K - L :] *= b
+            C[:, K + 1 - m - lb : K + 1 - m] -= d[:, None] * B[:, K + 1 - lb :]
+            np.remainder(C[:, lo:], p[:, None], out=C[:, lo:])
+            if 2 * L <= N:
+                L, lb, m, b = N + 1 - L, L + 1, 1, d[:, None]
+                B[:, K + 1 - lb :] = T
+            else:
+                m += 1
+        if L < n and N + 1 >= L + n:
+            break
+    lead = [pow(int(c), -1, int(q)) for c, q in zip(C[:, K], p)]
+    polys = C[:, K - L :] * np.array(lead, dtype=np.int64)[:, None] % p[:, None]
+    out = dict(zip(batch.tolist(), [(L, row) for row in polys]))
+    for t in alone:
+        out[t] = _berlekamp_massey_mod(s[t : t + 1], [primes[t]], n)[0]
+    return [out[t] for t in range(k)]
+
+
+def _residues(a: np.ndarray, primes: list) -> list:
+    """The char poly of ``a`` modulo each prime, coefficients low to high.
+
+    A sparse matrix probes the Krylov route with the first prime.  If
+    the minimal polynomial of the probe's sequence has degree n, the
+    other primes run that route in batches, and a prime whose sequence
+    falls short of degree n takes the Hessenberg route; the module
+    docstring says why a residue of degree n is exact.  If the probe
+    falls short (a derogatory matrix, or an unlucky start vector), every
+    prime takes the Hessenberg route.
+    """
+    n = a.shape[0]
+    nnz = np.count_nonzero(a)
+    if nnz <= _KRYLOV_DENSITY * n * n:
+        first, rest = primes[:1], primes[1:]
+        [(deg, poly)] = _berlekamp_massey_mod(_krylov_sequences(a, first, 2 * n), first, n)
+        if deg == n:
+            out = [poly]
+            size = max(1, _KRYLOV_TERMS // max(nnz, 1))
+            for i in range(0, len(rest), size):
+                group = rest[i : i + size]
+                found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
+                out += [
+                    res if d == n else _hessenberg_charpoly_mod(a, p)
+                    for (d, res), p in zip(found, group)
+                ]
+            return out
+    return [_hessenberg_charpoly_mod(a, p) for p in primes]
+
+
 # row norms are rounded up to multiples of 2^-_NORM_BITS; the rounding
 # loosens each factor of e_m by a relative 2^-16 at most
 _NORM_BITS = 16
@@ -206,13 +407,22 @@ def _coefficient_bound(mat: np.ndarray) -> int:
 
 def charpoly(mat: np.ndarray) -> list:
     """Exact char poly det(xI - mat) of an integer matrix, coefficients
-    low to high, via CRT over word-size primes."""
+    low to high, via CRT over word-size primes.
+
+    Raises ValueError when an entry does not fit in int64: both routes
+    and the bound read the int64 copy, so it must equal the input."""
     m = np.asarray(mat)
-    n = m.shape[0]
+    try:
+        a = m.astype(np.int64)
+    except OverflowError:
+        a = None
+    if a is None or not np.array_equal(a, m):
+        raise ValueError("charpoly needs integer entries that fit in int64")
+    n = a.shape[0]
     if n == 0:
         return [1]
-    primes_used = _primes_covering(2 * _coefficient_bound(m) + 1)
-    residues = [_hessenberg_charpoly_mod(m, p) for p in primes_used]
+    primes_used = _primes_covering(2 * _coefficient_bound(a) + 1)
+    residues = _residues(a, primes_used)
 
     # incremental CRT, lifted to the symmetric range at the end
     coeffs = [int(r) for r in residues[0]]

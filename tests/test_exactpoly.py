@@ -1,6 +1,7 @@
-"""The modular charpoly's prime budget and kernel: the row-norm Hadamard
-bound, the reduction helper and the pivot swaps, each against the
-division-free Berkowitz route."""
+"""The modular charpoly's prime budget and its two residue routes: the
+row-norm Hadamard bound, the reduction helper, the Hessenberg pivot
+swaps, and the Krylov / Berlekamp-Massey route with its fallback, each
+against the division-free Berkowitz route."""
 
 import math
 
@@ -9,9 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpairs import generate_family, laplacian_matrix
+from specpairs import (
+    _exactpoly,
+    complete_bipartite,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    generate_family,
+    laplacian_matrix,
+    path_graph,
+    vertex_pair,
+)
 from specpairs._exactpoly import (
+    _berlekamp_massey_mod,
     _coefficient_bound,
+    _hessenberg_charpoly_mod,
+    _krylov_sequences,
     _mod,
     _prime,
     _primes_covering,
@@ -117,3 +131,196 @@ def test_mod_equals_numpy_remainder():
     assert np.array_equal(_mod(x, p), x % p)
     for v in values[:-2]:  # scalars, away from the int64 ends
         assert int(_mod(np.int64(v), p)) == int(np.int64(v) % p) == v % p
+
+
+@pytest.mark.parametrize("mat", [[[2**63]], [[2**64 + 5]]])
+def test_charpoly_refuses_entries_outside_int64(mat):
+    # numpy stores 2^63 as uint64, whose int64 copy wraps to -2^63, and
+    # 2^64 + 5 as a Python object that int64 cannot hold
+    with pytest.raises(ValueError):
+        charpoly(mat)
+
+
+# -- the Krylov / Berlekamp-Massey route ----------------------------------------
+
+
+def bm_alone(seq, p, n):
+    """Berlekamp-Massey on one sequence, as (L, poly as a list)."""
+    [(deg, poly)] = _berlekamp_massey_mod(np.array([seq], dtype=np.int64), [p], n)
+    return deg, poly.tolist()
+
+
+def lfsr_terms(poly, start, count, p):
+    """``count`` terms of the recurrence with monic ``poly`` (low to high)
+    from the initial terms ``start``."""
+    L = len(poly) - 1
+    s = list(start)
+    while len(s) < count:
+        s.append(-sum(c * x for c, x in zip(poly, s[len(s) - L :])) % p)
+    return s
+
+
+def test_berlekamp_massey_recovers_an_lfsr_from_2n_terms():
+    p = _prime(0)
+    rng = np.random.default_rng(1986)
+    n = 12
+    poly = [int(c) for c in rng.integers(0, p, n)] + [1]
+    s = lfsr_terms(poly, [int(x) for x in rng.integers(0, p, n)], 2 * n, p)
+    assert bm_alone(s, p, n) == (n, poly)
+
+
+def test_berlekamp_massey_stops_once_the_order_is_final():
+    # an order-4 recurrence read with n = 12: after 4 + 12 terms no later
+    # term can change the order, so the scan stops there and ignores what
+    # follows, which a run bounded by the whole length does read
+    p = _prime(0)
+    n = 12
+    poly = [3, p - 1, 0, 5, 1]
+    s = lfsr_terms(poly, [1, 2, 3, 4], 2 * n, p)
+    early = bm_alone(s, p, n)
+    assert early == bm_alone(s, p, len(s)) == (4, poly)
+    altered = s[: 4 + n] + [(x + 1) % p for x in s[4 + n :]]
+    assert bm_alone(altered, p, n) == early
+    assert bm_alone(altered, p, len(s)) != early
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 2, -1, 12345]), min_size=16, max_size=16),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_batched_berlekamp_massey_equals_each_row_alone(rows):
+    # zeros make some rows' discrepancies vanish while others' do not,
+    # so those rows leave the batch
+    primes = [_prime(i) for i in range(len(rows))]
+    s = np.array([[x % p for x in row] for row, p in zip(rows, primes)], dtype=np.int64)
+    batch = _berlekamp_massey_mod(s, primes, 16)
+    for t, p in enumerate(primes):
+        deg, poly = batch[t]
+        assert (deg, poly.tolist()) == bm_alone(s[t], p, 16)
+        # the polynomial generates the sequence
+        seq = s[t].tolist()
+        for i in range(len(seq) - deg):
+            assert sum(int(c) * x for c, x in zip(poly, seq[i:])) % p == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse square integer matrices of order 1 to 40: symmetric or not,
+    negative entries, some nonzero diagonal entries and some rows that
+    are all zero, about half of them on a superdiagonal of ones."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    index = st.integers(min_value=0, max_value=n - 1)
+    value = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2**20), max_value=2**20),
+    )
+    mat = np.zeros((n, n), dtype=np.int64)
+    if draw(st.booleans()):
+        # a superdiagonal of ones, as in a companion matrix, makes a
+        # derogatory matrix rare
+        mat[np.arange(n - 1), np.arange(1, n)] = 1
+    for i, j, x in draw(st.lists(st.tuples(index, index, value), max_size=n * n // 10 + 1)):
+        mat[i, j] = x
+    for i in draw(st.sets(index, max_size=3)):
+        mat[i, i] = draw(st.sampled_from([-5, -1, 1, 7]))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        mat = np.triu(mat) + np.triu(mat, 1).T
+    for i in draw(st.sets(index, max_size=max(1, n // 8))):
+        mat[i] = 0
+        if symmetric:
+            mat[:, i] = 0
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=sparse_matrices())
+def test_krylov_residues_of_full_degree_equal_hessenberg(mat):
+    n = len(mat)
+    primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+    found = _berlekamp_massey_mod(_krylov_sequences(mat, primes, 2 * n), primes, n)
+    for (deg, poly), p in zip(found, primes):
+        assert deg <= n
+        if deg == n:
+            assert poly.tolist() == _hessenberg_charpoly_mod(mat, p).tolist()
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+DEROGATORY = {
+    "identity": np.eye(5, dtype=np.int64),
+    "empty graph": empty_graph(6).adj,
+    "K_3,3": complete_bipartite(3, 3).adj,
+    "union of cycles": disjoint_union(cycle_graph(5), cycle_graph(7)).adj,
+    "vertex_pair(3).gamma": vertex_pair(3).gamma.adj,
+}
+
+
+@pytest.mark.parametrize("name", DEROGATORY)
+def test_derogatory_matrices_fall_back_and_agree_with_berkowitz(name):
+    mat = DEROGATORY[name].astype(np.int64)
+    n = len(mat)
+    p = _prime(0)
+    [(deg, _)] = _berlekamp_massey_mod(_krylov_sequences(mat, [p], 2 * n), [p], n)
+    assert deg < n
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+def test_simple_spectrum_sparse_graph_never_takes_hessenberg(monkeypatch):
+    def refuse(mat, p):
+        raise AssertionError("the Hessenberg route ran")
+
+    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
+    g = path_graph(40)  # distinct eigenvalues 2 cos(k pi / 41)
+    for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
+        assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+def test_derogatory_sparse_graph_probes_once_then_takes_hessenberg(monkeypatch):
+    calls = []
+    krylov = _exactpoly._krylov_sequences
+    hessenberg = _exactpoly._hessenberg_charpoly_mod
+
+    def traced_krylov(mat, primes, N):
+        calls.append(("krylov", list(primes)))
+        return krylov(mat, primes, N)
+
+    def traced_hessenberg(mat, p):
+        calls.append(("hessenberg", p))
+        return hessenberg(mat, p)
+
+    monkeypatch.setattr(_exactpoly, "_krylov_sequences", traced_krylov)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", traced_hessenberg)
+    g = cycle_graph(5)
+    for _ in range(5):
+        g = disjoint_union(g, cycle_graph(5))
+    mat = g.adj.astype(np.int64)  # six 5-cycles: every eigenvalue repeats
+    primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+    assert len(primes) > 1
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+    assert calls == [("krylov", primes[:1])] + [("hessenberg", p) for p in primes]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_krylov_sequences_are_exact_where_int64_sums_overflow(symmetric, monkeypatch):
+    # every entry and every start-vector entry is p - 1: unreduced, 530
+    # entry products summed along a row, or 530 products in one dot
+    # product, pass 2^63
+    p = _prime(0)
+    top = p - 1
+    n = 530
+    mat = np.full((n, n), top, dtype=np.int64)
+    if not symmetric:
+        mat[0, 1] = top - 1
+    monkeypatch.setattr(_exactpoly, "_krylov_start", lambda n: np.full(n, top, dtype=np.int64))
+    assert 530 * top * top >= 2**63
+    v = [top] * n
+    x = v
+    want = []
+    for _ in range(4):
+        want.append(sum(a * b for a, b in zip(v, x)) % p)
+        x = [sum(a * b for a, b in zip(row, x)) % p for row in mat.tolist()]
+    assert _krylov_sequences(mat, [p], 4)[0].tolist() == want
