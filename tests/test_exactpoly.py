@@ -269,11 +269,14 @@ def test_derogatory_matrices_fall_back_and_agree_with_berkowitz(name):
     assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
-def test_simple_spectrum_sparse_graph_never_takes_hessenberg(monkeypatch):
+@pytest.mark.parametrize("terms", [_exactpoly._KRYLOV_TERMS, 200, 1])
+def test_simple_spectrum_sparse_graph_never_takes_hessenberg(terms, monkeypatch):
+    # a smaller cap on gathered terms splits the primes into more batches
     def refuse(mat, p):
         raise AssertionError("the Hessenberg route ran")
 
     monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
+    monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
     g = path_graph(40)  # distinct eigenvalues 2 cos(k pi / 41)
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
         assert charpoly(mat) == berkowitz_charpoly(mat)
