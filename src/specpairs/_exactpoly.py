@@ -409,9 +409,12 @@ def charpoly(mat: np.ndarray) -> list:
     """Exact char poly det(xI - mat) of an integer matrix, coefficients
     low to high, via CRT over word-size primes.
 
-    Raises ValueError when an entry does not fit in int64: both routes
-    and the bound read the int64 copy, so it must equal the input."""
+    Raises ValueError when the matrix is not square, or when an entry
+    does not fit in int64: both routes and the bound read the int64
+    copy, so it must equal the input."""
     m = np.asarray(mat)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"charpoly needs a square matrix, got shape {m.shape}")
     try:
         a = m.astype(np.int64)
     except OverflowError:

@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .connectivity import (
     edge_connectivity,
@@ -48,16 +49,6 @@ from .spectra import (
 )
 from .switching import InvalidPlanError, SwitchingPlan, switch
 
-CHECK_NAMES = (
-    "cospectral",
-    "kappa",
-    "kappa_prime",
-    "whitney",
-    "fiedler",
-    "linegraph",
-)
-DEFAULT_CHECKS = ("cospectral", "kappa", "kappa_prime", "whitney")
-
 FIEDLER_TOL = Fraction(1, 1 << 20)
 
 # the linegraph check builds the line graph of the pair and proves its
@@ -68,13 +59,23 @@ FIEDLER_TOL = Fraction(1, 1 << 20)
 # smaller
 LINE_GRAPH_CEILING = 4000
 
+SIDES = ("gamma", "gamma_prime")
+
 
 # -- lazy per-pair metric cache ------------------------------------------------
 
 
 class _Metrics:
-    def __init__(self, fi: FamilyInstance):
+    """Spectra, kappa and kappa' of a pair, each computed once on demand.
+
+    ``base`` is the metrics of the pair a line-graph instance was built
+    from; its spectra let ``pair_char_polys`` prove the line graphs'
+    spectra by identity.
+    """
+
+    def __init__(self, fi: FamilyInstance, base=None):
         self.fi = fi
+        self.base = base
         self._kappa = {}
         self._kappa_prime = {}
         self._spectra = None
@@ -84,7 +85,8 @@ class _Metrics:
 
     def spectra(self):
         if self._spectra is None:
-            self._spectra = pair_char_polys(self.fi)
+            base = self.base.spectra() if self.base is not None else None
+            self._spectra = pair_char_polys(self.fi, base_spectra=base)
         return self._spectra
 
     def kappa(self, which):
@@ -105,178 +107,106 @@ def _witness_json(w):
 
 
 def _conn_json(g, result):
-    checked = False
-    if result.witness is not None:
-        checked = verify_disconnecting_set(g, result.witness)
+    w = result.witness
     return {
         "value": result.value,
-        "witness": _witness_json(result.witness),
-        "witness_checked": checked,
+        "witness": _witness_json(w),
+        "witness_checked": w is not None and verify_disconnecting_set(g, w),
     }
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+# -- the checks ----------------------------------------------------------------
+#
+# Each check returns (computed, expected, outcome, detail, route); an
+# outcome of True is PASS, False is FAIL and None is INFO (nothing to
+# assert), and a route of None is left out of the report.
 
 
-# -- individual checks ---------------------------------------------------------
-
-
-def _check_cospectral(fi, metrics):
-    def run():
-        spectra = metrics.spectra()
-        (pa, pa2), (pl, pl2) = spectra.adjacency, spectra.laplacian
-        computed = {
-            "adjacency": pa == pa2,
-            "laplacian": pl == pl2,
-            "digest_adjacency": [pa.digest(), pa2.digest()],
-            "digest_laplacian": [pl.digest(), pl2.digest()],
-        }
-        if pa == pa2:
-            computed["char_poly_adjacency"] = [str(c) for c in pa.coeffs]
-        return computed
-
-    computed, secs = _timed(run)
-    ok = computed["adjacency"] and computed["laplacian"]
-    return {
-        "name": "cospectral",
-        "status": "PASS" if ok else "FAIL",
-        "seconds": secs,
-        "route": metrics.spectra().route,
-        "computed": computed,
-        "expected": {"adjacency": True, "laplacian": True},
-        "detail": "adjacency and laplacian spectra agree"
-        if ok
-        else "spectra differ",
+def _cospectral(fi, metrics):
+    spectra = metrics.spectra()
+    (pa, pa2), (pl, pl2) = spectra.adjacency, spectra.laplacian
+    computed = {
+        "adjacency": pa == pa2,
+        "laplacian": pl == pl2,
+        "digest_adjacency": [pa.digest(), pa2.digest()],
+        "digest_laplacian": [pl.digest(), pl2.digest()],
     }
+    if pa == pa2:
+        computed["char_poly_adjacency"] = [str(c) for c in pa.coeffs]
+    ok = pa == pa2 and pl == pl2
+    detail = "adjacency and laplacian spectra agree" if ok else "spectra differ"
+    expected = {"adjacency": True, "laplacian": True}
+    return computed, expected, ok, detail, spectra.route
 
 
-def _check_connectivity(fi, metrics, kind):
-    if kind == "kappa":
-        getter = metrics.kappa
-        expected = {
-            "gamma": fi.expected.kappa_gamma,
-            "gamma_prime": fi.expected.kappa_gamma_prime,
-        }
-    else:
-        getter = metrics.kappa_prime
-        expected = {
-            "gamma": fi.expected.kappa_prime_gamma,
-            "gamma_prime": fi.expected.kappa_prime_gamma_prime,
-        }
-
-    def run():
-        return {
-            which: _conn_json(metrics.graphs()[which], getter(which))
-            for which in ("gamma", "gamma_prime")
-        }
-
-    computed, secs = _timed(run)
-    stated = {k: v for k, v in expected.items() if v is not None}
-    problems = []
-    for which, want in stated.items():
-        got = computed[which]["value"]
-        if got != want:
-            problems.append(f"{which}: computed {got}, claimed {want}")
-    for which in ("gamma", "gamma_prime"):
-        entry = computed[which]
-        if entry["witness"] is not None and not entry["witness_checked"]:
-            problems.append(f"{which}: witness failed its recheck")
-    if not stated:
-        status = "INFO"
-        detail = "no claim made; computed {}/{}".format(
-            computed["gamma"]["value"], computed["gamma_prime"]["value"]
-        )
-    elif problems:
-        status = "FAIL"
-        detail = "; ".join(problems)
-    else:
-        status = "PASS"
-        detail = "computed {}/{} as claimed".format(
-            computed["gamma"]["value"], computed["gamma_prime"]["value"]
-        )
-    return {
-        "name": kind,
-        "status": status,
-        "seconds": secs,
-        "computed": computed,
-        "expected": expected,
-        "detail": detail,
+def _connectivity(fi, metrics, kind):
+    """``kind`` names both the claim and the metric: kappa or kappa_prime."""
+    computed = {
+        which: _conn_json(g, getattr(metrics, kind)(which))
+        for which, g in metrics.graphs().items()
     }
+    expected = {which: getattr(fi.expected, f"{kind}_{which}") for which in SIDES}
+    problems = [
+        f"{which}: computed {computed[which]['value']}, claimed {want}"
+        for which, want in expected.items()
+        if want is not None and computed[which]["value"] != want
+    ] + [
+        f"{which}: witness failed its recheck"
+        for which, entry in computed.items()
+        if entry["witness"] is not None and not entry["witness_checked"]
+    ]
+    values = "{}/{}".format(*(computed[which]["value"] for which in SIDES))
+    if problems:
+        return computed, expected, False, "; ".join(problems), None
+    if all(want is None for want in expected.values()):
+        return computed, expected, None, f"no claim made; computed {values}", None
+    return computed, expected, True, f"computed {values} as claimed", None
 
 
-def _check_kappa(fi, metrics):
-    return _check_connectivity(fi, metrics, "kappa")
-
-
-def _check_kappa_prime(fi, metrics):
-    return _check_connectivity(fi, metrics, "kappa_prime")
-
-
-def _check_whitney(fi, metrics):
-    def run():
-        out = {}
-        for which, g in metrics.graphs().items():
-            kv = metrics.kappa(which).value
-            ke = metrics.kappa_prime(which).value
-            dmin = g.min_degree()
-            out[which] = {
-                "kappa": kv,
-                "kappa_prime": ke,
-                "min_degree": dmin,
-                "holds": kv <= ke <= dmin,
-            }
-        return out
-
-    computed, secs = _timed(run)
+def _whitney(fi, metrics):
+    computed = {}
+    for which, g in metrics.graphs().items():
+        kv = metrics.kappa(which).value
+        ke = metrics.kappa_prime(which).value
+        dmin = g.min_degree()
+        computed[which] = {
+            "kappa": kv,
+            "kappa_prime": ke,
+            "min_degree": dmin,
+            "holds": kv <= ke <= dmin,
+        }
     ok = all(v["holds"] for v in computed.values())
-    return {
-        "name": "whitney",
-        "status": "PASS" if ok else "FAIL",
-        "seconds": secs,
-        "computed": computed,
-        "expected": {"chain": "kappa <= kappa_prime <= min_degree"},
-        "detail": "chain holds on both graphs" if ok else "chain violated",
-    }
+    detail = "chain holds on both graphs" if ok else "chain violated"
+    expected = {"chain": "kappa <= kappa_prime <= min_degree"}
+    return computed, expected, ok, detail, None
 
 
-def _check_fiedler(fi, metrics):
-    def run():
-        out = {}
-        laplacians = metrics.spectra().laplacian
-        for (which, g), lap in zip(metrics.graphs().items(), laplacians):
-            kv = metrics.kappa(which)
-            complete = g.num_edges == g.n * (g.n - 1) // 2
-            if kv.value == 0 or complete:
-                out[which] = {"applicable": False}
-                continue
-            iv = second_smallest_laplacian_eigenvalue(g, FIEDLER_TOL, lap)
-            out[which] = {
-                "applicable": True,
-                "mu2_lo": str(iv.lo),
-                "mu2_hi": str(iv.hi),
-                "kappa": kv.value,
-                "within": iv.hi <= kv.value + FIEDLER_TOL,
-            }
-        return out
-
-    computed, secs = _timed(run)
-    applicable = [v for v in computed.values() if v.get("applicable")]
-    ok = all(v["within"] for v in applicable)
-    status = "PASS" if (applicable and ok) else ("INFO" if not applicable else "FAIL")
-    return {
-        "name": "fiedler",
-        "status": status,
-        "seconds": secs,
-        "route": {"laplacian": metrics.spectra().route["laplacian"]},
-        "computed": computed,
-        "expected": {"bound": "mu2 <= kappa + 2^-20"},
-        "detail": "algebraic connectivity below vertex connectivity"
-        if ok
-        else "Fiedler bound violated",
-    }
+def _fiedler(fi, metrics):
+    computed = {}
+    spectra = metrics.spectra()
+    for (which, g), lap in zip(metrics.graphs().items(), spectra.laplacian):
+        kv = metrics.kappa(which)
+        complete = g.num_edges == g.n * (g.n - 1) // 2
+        if kv.value == 0 or complete:
+            computed[which] = {"applicable": False}
+            continue
+        iv = second_smallest_laplacian_eigenvalue(g, FIEDLER_TOL, lap)
+        computed[which] = {
+            "applicable": True,
+            "mu2_lo": str(iv.lo),
+            "mu2_hi": str(iv.hi),
+            "kappa": kv.value,
+            "within": iv.hi <= kv.value + FIEDLER_TOL,
+        }
+    applicable = [v for v in computed.values() if v["applicable"]]
+    if not applicable:
+        ok, detail = None, "no graph applicable (each is complete or disconnected)"
+    elif all(v["within"] for v in applicable):
+        ok, detail = True, "algebraic connectivity below vertex connectivity"
+    else:
+        ok, detail = False, "Fiedler bound violated"
+    expected = {"bound": "mu2 <= kappa + 2^-20"}
+    return computed, expected, ok, detail, {"laplacian": spectra.route["laplacian"]}
 
 
 def _refuse_large_line_graph(fi):
@@ -293,63 +223,77 @@ def _refuse_large_line_graph(fi):
         )
 
 
-def _check_linegraph(fi, metrics):
-    route = {}
-
-    def run():
-        lf = line_graph_family(fi)
-        degree = int(fi.gamma.degrees().max())
-        out = {"order": lf.gamma.n, "degree": int(lf.gamma.degrees().max())}
-        spectra = pair_char_polys(lf, base_spectra=metrics.spectra())
-        route["adjacency"] = spectra.route["adjacency"]
-        out["cospectral_adjacency"] = spectra.adjacency[0] == spectra.adjacency[1]
-        for which, line_g in (("gamma", lf.gamma), ("gamma_prime", lf.gamma_prime)):
-            base_edge = metrics.kappa_prime(which).value
-            line_vertex = vertex_connectivity(line_g).value
-            # equality with the base edge connectivity is guaranteed only
-            # when some minimum edge cut is not a vertex star, which a
-            # value below the degree forces; otherwise only >= holds
-            forced = base_edge < degree
-            out[which] = {
-                "base_kappa_prime": base_edge,
-                "line_kappa": line_vertex,
-                "lower_bound_ok": line_vertex >= base_edge,
-                "equality_expected": forced,
-                "equal": base_edge == line_vertex,
-            }
-        return out
-
-    computed, secs = _timed(run)
+def _linegraph(fi, metrics):
+    line = _Metrics(line_graph_family(fi), base=metrics)
+    degree = int(fi.gamma.degrees().max())
+    spectra = line.spectra()
+    computed = {
+        "order": line.fi.gamma.n,
+        "degree": int(line.fi.gamma.degrees().max()),
+        "cospectral_adjacency": spectra.adjacency[0] == spectra.adjacency[1],
+    }
+    for which in SIDES:
+        base_edge = metrics.kappa_prime(which).value
+        line_vertex = line.kappa(which).value
+        # equality with the base edge connectivity is guaranteed only
+        # when some minimum edge cut is not a vertex star, which a
+        # value below the degree forces; otherwise only >= holds
+        computed[which] = {
+            "base_kappa_prime": base_edge,
+            "line_kappa": line_vertex,
+            "lower_bound_ok": line_vertex >= base_edge,
+            "equality_expected": base_edge < degree,
+            "equal": base_edge == line_vertex,
+        }
     ok = computed["cospectral_adjacency"] and all(
         computed[w]["lower_bound_ok"]
         and (computed[w]["equal"] or not computed[w]["equality_expected"])
-        for w in ("gamma", "gamma_prime")
+        for w in SIDES
     )
-    return {
-        "name": "linegraph",
-        "status": "PASS" if ok else "FAIL",
-        "seconds": secs,
-        "route": route,
-        "computed": computed,
-        "expected": {
-            "bound": "kappa(line) >= kappa_prime(base), "
-            "equal when kappa_prime < degree",
-            "cospectral_adjacency": True,
-        },
-        "detail": "line graphs cospectral; connectivity transfer as guaranteed"
-        if ok
-        else "line graph check failed",
+    expected = {
+        "bound": "kappa(line) >= kappa_prime(base), "
+        "equal when kappa_prime < degree",
+        "cospectral_adjacency": True,
     }
+    detail = (
+        "line graphs cospectral; connectivity transfer as guaranteed"
+        if ok
+        else "line graph check failed"
+    )
+    return computed, expected, ok, detail, {"adjacency": spectra.route["adjacency"]}
+
+
+def _report(name, check):
+    """Wrap ``check`` into ``(fi, metrics) -> report entry``, timed."""
+
+    def run(fi, metrics):
+        t0 = time.perf_counter()
+        computed, expected, outcome, detail, route = check(fi, metrics)
+        entry = {
+            "name": name,
+            "status": {True: "PASS", False: "FAIL", None: "INFO"}[outcome],
+            "seconds": time.perf_counter() - t0,
+            "computed": computed,
+            "expected": expected,
+            "detail": detail,
+        }
+        if route is not None:
+            entry["route"] = route
+        return entry
+
+    return run
 
 
 _CHECKS = {
-    "cospectral": _check_cospectral,
-    "kappa": _check_kappa,
-    "kappa_prime": _check_kappa_prime,
-    "whitney": _check_whitney,
-    "fiedler": _check_fiedler,
-    "linegraph": _check_linegraph,
+    "cospectral": _report("cospectral", _cospectral),
+    "kappa": _report("kappa", partial(_connectivity, kind="kappa")),
+    "kappa_prime": _report("kappa_prime", partial(_connectivity, kind="kappa_prime")),
+    "whitney": _report("whitney", _whitney),
+    "fiedler": _report("fiedler", _fiedler),
+    "linegraph": _report("linegraph", _linegraph),
 }
+CHECK_NAMES = tuple(_CHECKS)
+DEFAULT_CHECKS = ("cospectral", "kappa", "kappa_prime", "whitney")
 
 
 # -- command implementations -----------------------------------------------------
@@ -404,11 +348,8 @@ def cmd_generate(args) -> int:
             "named": {key: list(v) if isinstance(v, tuple) else v
                       for key, v in fi.named.items()},
             "expected": {
-                "kappa": [fi.expected.kappa_gamma, fi.expected.kappa_gamma_prime],
-                "kappa_prime": [
-                    fi.expected.kappa_prime_gamma,
-                    fi.expected.kappa_prime_gamma_prime,
-                ],
+                kind: [getattr(fi.expected, f"{kind}_{w}") for w in SIDES]
+                for kind in ("kappa", "kappa_prime")
             },
             "files": {"graphs": base + ".g6",
                       "plan": (base + ".plan.json") if fi.plan else None},
@@ -486,20 +427,15 @@ def cmd_table(args) -> int:
     for k in ks:
         t0 = time.perf_counter()
         fi = generate_family(args.family, k)
-        spectra = pair_char_polys(fi)
+        metrics = _Metrics(fi)
+        spectra = metrics.spectra()
         pa, pa2 = spectra.adjacency
         row = {
             "k": fi.k,
             "order": fi.gamma.n,
             "degree": int(fi.gamma.degrees().max()),
-            "kappa": [
-                vertex_connectivity(fi.gamma).value,
-                vertex_connectivity(fi.gamma_prime).value,
-            ],
-            "kappa_prime": [
-                edge_connectivity(fi.gamma).value,
-                edge_connectivity(fi.gamma_prime).value,
-            ],
+            "kappa": [metrics.kappa(w).value for w in SIDES],
+            "kappa_prime": [metrics.kappa_prime(w).value for w in SIDES],
             "cospectral": pa == pa2,
             "char_poly_digest_adjacency": pa.digest(),
             "route": {"adjacency": spectra.route["adjacency"]},
@@ -518,11 +454,12 @@ def cmd_table(args) -> int:
     ]
     for r in rows:
         kcol = "-" if r["k"] is None else r["k"]
+        kappa = "{}/{}".format(*r["kappa"])
+        kappa_prime = "{}/{}".format(*r["kappa_prime"])
         lines.append(
-            f"{kcol:>4} {r['order']:>6} {r['degree']:>6} "
-            f"{r['kappa'][0]}/{r['kappa'][1]:<{max(1, 8 - len(str(r['kappa'][0])))}} "
-            f"{r['kappa_prime'][0]}/{r['kappa_prime'][1]:<{max(1, 10 - len(str(r['kappa_prime'][0])))}} "
-            f"{'yes' if r['cospectral'] else 'NO':>10} {r['seconds']:>8.2f}"
+            f"{kcol:>4} {r['order']:>6} {r['degree']:>6} {kappa:<9} "
+            f"{kappa_prime:<11} {'yes' if r['cospectral'] else 'NO':>10} "
+            f"{r['seconds']:>8.2f}"
         )
     _emit(args, report, lines)
     return 0
@@ -694,10 +631,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # Graph6Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

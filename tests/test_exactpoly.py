@@ -141,6 +141,18 @@ def test_charpoly_refuses_entries_outside_int64(mat):
         charpoly(mat)
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [[[0] * 40] * 30, [[1, 2], [3, 4], [5, 6]]],
+    ids=["wide-zero-30x40", "tall-3x2"],
+)
+def test_charpoly_refuses_a_non_square_matrix(mat):
+    # a 30x40 zero matrix once came back as x^30; a 3x2 one failed only
+    # inside numpy's matmul
+    with pytest.raises(ValueError, match="square"):
+        charpoly(mat)
+
+
 # -- the Krylov / Berlekamp-Massey route ----------------------------------------
 
 
