@@ -15,11 +15,18 @@ routes, and a third, independent route checks them:
   recurrence of det(xI - A) by Cayley-Hamilton, so its minimal
   polynomial m has degree at most n and divides det(xI - A) mod p.
   Berlekamp-Massey on its first 2n terms returns m exactly.  If
-  deg m = n, then m = det(xI - A) mod p, both being monic of degree n;
-  any other residue comes from the Hessenberg route.  v is given by a
-  formula, with no random state: the input decides only which route
-  proves a residue, never the residue.  One product A x costs a gather
-  over the nonzero entries, so a prime costs O(n nnz).
+  deg m = n, then m = det(xI - A) mod p, both being monic of degree n.
+  If deg m = n - 1, as for a symmetric matrix whose only repeated
+  eigenvalue has multiplicity 2, the quotient is monic of degree 1:
+  det(xI - A) = m(x) (x - lambda) mod p.  The x^(n-1) coefficient of
+  det(xI - A) is -tr(A), and that of the product is m_{n-2} - lambda,
+  so lambda = tr(A) + m_{n-2} mod p and the residue is exact again.
+  A shorter m leaves a quotient of degree 2 or more, which the trace
+  alone does not fix, and that residue comes from the Hessenberg
+  route.  v is given by a formula, with no random state: the input
+  decides only which route proves a residue, never the residue.  One
+  product A x costs a gather over the nonzero entries, so a prime
+  costs O(n nnz).
 
 * Hessenberg, for every other residue.  Reduce to Hessenberg form
   modulo p (similarity transforms only) and run the leading-minor
@@ -342,28 +349,39 @@ def _residues(a: np.ndarray, primes: list) -> list:
     """The char poly of ``a`` modulo each prime, coefficients low to high.
 
     A sparse matrix probes the Krylov route with the first prime.  If
-    the minimal polynomial of the probe's sequence has degree n, the
-    other primes run that route in batches, and a prime whose sequence
-    falls short of degree n takes the Hessenberg route; the module
-    docstring says why a residue of degree n is exact.  If the probe
-    falls short (a derogatory matrix, or an unlucky start vector), every
-    prime takes the Hessenberg route.
+    the minimal polynomial m of the probe's sequence has degree n or
+    n - 1, the other primes run that route in batches.  A residue comes
+    from m itself at degree n and from m (x - lambda) at degree n - 1;
+    a prime whose sequence falls shorter takes the Hessenberg route.
+    The module docstring says why both are exact.  If the probe falls
+    shorter (a matrix with a deficiency of 2 or more, or an unlucky
+    start vector), every prime takes the Hessenberg route.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
     if nnz <= _KRYLOV_DENSITY * n * n:
+        trace = sum(np.diagonal(a).tolist())
+
+        def residue(deg, m, p):
+            if deg == n:
+                return m
+            if deg < n - 1:
+                return _hessenberg_charpoly_mod(a, p)
+            lam = (trace + (int(m[-2]) if deg else 0)) % p
+            res = np.zeros(n + 1, dtype=np.int64)
+            res[1:] = m
+            res[:-1] -= lam * m
+            return _mod(res, p)
+
         first, rest = primes[:1], primes[1:]
-        [(deg, poly)] = _berlekamp_massey_mod(_krylov_sequences(a, first, 2 * n), first, n)
-        if deg == n:
-            out = [poly]
+        [(deg, m)] = _berlekamp_massey_mod(_krylov_sequences(a, first, 2 * n), first, n)
+        if deg >= n - 1:
+            out = [residue(deg, m, first[0])]
             size = max(1, _KRYLOV_TERMS // max(nnz, 1))
             for i in range(0, len(rest), size):
                 group = rest[i : i + size]
                 found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
-                out += [
-                    res if d == n else _hessenberg_charpoly_mod(a, p)
-                    for (d, res), p in zip(found, group)
-                ]
+                out += [residue(d, poly, p) for (d, poly), p in zip(found, group)]
             return out
     return [_hessenberg_charpoly_mod(a, p) for p in primes]
 

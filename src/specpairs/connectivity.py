@@ -1,8 +1,8 @@
 """Exact vertex and edge connectivity with checkable witnesses.
 
 Local connectivity between a vertex pair is a maximum flow on a
-unit-capacity network, found by shortest augmenting paths.  One flow
-routine serves two networks:
+unit-capacity network, found in Dinic's phases of shortest augmenting
+paths.  One flow routine serves two networks:
 
 * vertex: the Even-Tarjan split network.  Node 2v is "into v" and node
   2v+1 is "out of v"; the arc 2v -> 2v+1 makes paths internally
@@ -14,10 +14,19 @@ A network is built once per graph as Python-int bitmasks, out-arcs and
 in-arcs per node, and each (s, t) run starts from a copy of the out-arc
 list.  In the residual graph ``live[a]`` is the set of heads of live
 arcs out of node a, and ``fout[a]`` the set of heads of arcs out of a
-that carry flow.  BFS grows one level at a time by OR-ing ``live`` over
-the frontier; the augmenting path is traced back through the levels,
+that carry flow.  Each phase starts with one BFS, which grows one level
+at a time by OR-ing ``live`` over the frontier and keeps each level as a
+bitmask.  Paths are then traced back from the sink through the levels,
 looking at node b only among the candidates ``level & (in-arcs of b |
-fout[b])`` that can hold a live arc into b.
+fout[b])`` that can hold a live arc into b, and each is augmented as
+soon as it reaches the source.  A node with no candidate left leads
+nowhere for the rest of the phase, since augmenting only adds arcs that
+run back a level, so it is dropped from its level.  The phase ends when
+the sink itself has no candidate: every shortest path is blocked, and
+the next BFS finds longer ones.  A phase augments at least one path,
+and Even and Tarjan showed that a unit-capacity network needs only
+O(sqrt(n)) phases, so a run pays far fewer BFS passes than units of
+flow.
 
 Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 
@@ -27,7 +36,8 @@ Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 * edge: the minimum of lambda(0, t) over all t, seeded with the edge
   star of a minimum-degree vertex.
 
-Each run is capped at the best value found so far, so only strict
+Each run is capped at the best value found so far, and stops as soon
+as it reaches the cap, even in the middle of a phase, so only strict
 improvements are explored to completion.  A run that finishes below its
 cap holds a maximum flow, and its final BFS has reached the source side
 of the minimal minimum cut.  That set is the same for every maximum
@@ -172,7 +182,7 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
     fout = [0] * len(out)
     sink = 1 << dst
     value = 0
-    while cap is None or value < cap:
+    while value != cap:
         seen = frontier = 1 << src
         levels = []
         while frontier and not frontier & sink:
@@ -186,27 +196,40 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
             seen |= frontier
         if not frontier:
             return value, fout, seen
-        b = dst
-        for level in reversed(levels):
+        # path[j] sits on level len(levels) - j; extend it toward src
+        path = [dst]
+        while value != cap:
+            b = path[-1]
+            i = len(levels) - len(path)
+            if i < 0:  # path reached src: augment along it
+                for b, a in zip(path, path[1:]):
+                    bbit, low = 1 << b, 1 << a
+                    if fout[b] & low:  # cancel a unit on b -> a
+                        fout[b] ^= low
+                        if not arcs_in[b] & low:
+                            live[a] ^= bbit
+                    else:
+                        fout[a] |= bbit
+                        live[a] ^= bbit
+                    live[b] |= low
+                value += 1
+                path = [dst]
+                continue
             # a live arc into b is an unsaturated arc or a reversed flow arc
             bbit = 1 << b
-            cand = level & (arcs_in[b] | fout[b])
-            while True:
+            cand = levels[i] & (arcs_in[b] | fout[b])
+            while cand:
                 low = cand & -cand
-                a = low.bit_length() - 1
-                if live[a] & bbit:
+                if live[low.bit_length() - 1] & bbit:
                     break
                 cand ^= low
-            if fout[b] & low:  # cancel a unit on b -> a
-                fout[b] ^= low
-                if not arcs_in[b] & low:
-                    live[a] ^= bbit
-            else:
-                fout[a] |= bbit
-                live[a] ^= bbit
-            live[b] |= low
-            b = a
-        value += 1
+            if cand:
+                path.append(low.bit_length() - 1)
+            elif b == dst:  # the level graph is blocked
+                break
+            else:  # b leads nowhere for the rest of this phase
+                levels[i + 1] ^= bbit
+                path.pop()
     return value, fout, None
 
 

@@ -456,19 +456,22 @@ def two_coloring(g: Graph):
 #   18 bits; larger (up to 2^36-1) -> '~~' + 6 chars carrying 36 bits.
 #   Then the upper triangle x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ... is
 #   packed big-endian, 6 bits per character, each character offset by 63,
-#   zero-padded to a multiple of 6.
+#   zero-padded to a multiple of 6.  That order is the row-major order of
+#   the strict lower triangle, np.tril_indices(n, -1).
+
+_SIXBITS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
-def _encode_bits(bits):
-    while len(bits) % 6:
-        bits.append(0)
-    out = []
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i : i + 6]:
-            v = (v << 1) | b
-        out.append(chr(63 + v))
-    return "".join(out)
+def _lower(n: int) -> np.ndarray:
+    """Mask of the strict lower triangle; indexing with it reads graph6 order."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
+def _encode_bits(bits: np.ndarray) -> str:
+    """0/1 values as graph6 characters: big-endian 6-bit groups, zero-padded."""
+    groups = np.zeros(-(-bits.size // 6) * 6, dtype=np.uint8)
+    groups[: bits.size] = bits
+    return (groups.reshape(-1, 6) @ _SIXBITS + 63).tobytes().decode("ascii")
 
 
 def encode_graph6(g: Graph) -> str:
@@ -479,14 +482,10 @@ def encode_graph6(g: Graph) -> str:
     if n <= 62:
         head = chr(63 + n)
     elif n <= 258047:
-        head = "~" + _encode_bits([(n >> (17 - i)) & 1 for i in range(18)])
+        head = "~" + _encode_bits(n >> np.arange(17, -1, -1) & 1)
     else:
-        head = "~~" + _encode_bits([(n >> (35 - i)) & 1 for i in range(36)])
-    cols = []
-    for v in range(1, n):
-        col = g.adj[:v, v]
-        cols.extend(int(b) for b in col)
-    return head + _encode_bits(cols)
+        head = "~~" + _encode_bits(n >> np.arange(35, -1, -1) & 1)
+    return head + _encode_bits(g.adj[_lower(n)])
 
 
 def decode_graph6(text: str) -> Graph:
@@ -497,57 +496,40 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6Error("empty graph6 text", 0)
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     pos = 0
 
     def take(k, what):
         nonlocal pos
         if pos + k > len(s):
             raise Graph6Error(f"truncated {what}", len(s))
-        vals = []
-        for i in range(k):
-            c = ord(s[pos + i])
-            if not (63 <= c <= 126):
-                raise Graph6Error(
-                    f"character {s[pos + i]!r} outside graph6 range", pos + i
-                )
-            vals.append(c - 63)
+        vals = codes[pos : pos + k].astype(np.int64) - 63
+        bad = np.flatnonzero((vals < 0) | (vals > 63))
+        if bad.size:
+            at = pos + int(bad[0])
+            raise Graph6Error(f"character {s[at]!r} outside graph6 range", at)
         pos += k
         return vals
 
     if s[0] == "~":
-        if len(s) >= 2 and s[1] == "~":
-            pos = 2
-            vals = take(6, "36-bit order")
-            n = 0
-            for v in vals:
-                n = (n << 6) | v
-        else:
-            pos = 1
-            vals = take(3, "18-bit order")
-            n = 0
-            for v in vals:
-                n = (n << 6) | v
+        wide = len(s) >= 2 and s[1] == "~"
+        pos = 2 if wide else 1
+        n = 0
+        for v in take(6, "36-bit order") if wide else take(3, "18-bit order"):
+            n = (n << 6) | int(v)
     else:
-        n = take(1, "order")[0]
+        n = int(take(1, "order")[0])
     need = n * (n - 1) // 2
-    chars = (need + 5) // 6
     body_at = pos
-    vals = take(chars, "adjacency bits")
+    vals = take(-(-need // 6), "adjacency bits")
     if pos != len(s):
         raise Graph6Error("trailing characters after adjacency bits", pos)
-    bits = []
-    for v in vals:
-        bits.extend((v >> (5 - i)) & 1 for i in range(6))
-    for i in range(need, len(bits)):
-        if bits[i]:
-            raise Graph6Error(
-                "nonzero padding in final character", body_at + i // 6
-            )
+    bits = (vals[:, None] & _SIXBITS).astype(bool).ravel()
+    padding = np.flatnonzero(bits[need:])
+    if padding.size:
+        raise Graph6Error(
+            "nonzero padding in final character", body_at + (need + int(padding[0])) // 6
+        )
     a = np.zeros((n, n), dtype=bool)
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                a[u, v] = a[v, u] = True
-            i += 1
-    return Graph(n, a)
+    a[_lower(n)] = bits[:need]
+    return Graph(n, a | a.T)

@@ -28,6 +28,7 @@ from specpairs import (
     vertex_pair,
     verify_disconnecting_set,
 )
+from specpairs.connectivity import _flow, _network
 from tests.conftest import random_graph
 
 
@@ -159,6 +160,108 @@ def test_local_flows_agree_with_networkx_on_every_pair():
         ps = max_edge_disjoint_paths(g, s, t)
         assert ps.count == nx.edge_connectivity(h, s, t)
         ps.validate(g)
+
+
+# -- the flow core ----------------------------------------------------------------
+
+
+def _directed(n, arcs):
+    """(out, arcs_in) bitmasks of a directed unit network on nodes 0..n-1."""
+    out, arcs_in = [0] * n, [0] * n
+    for a, b in arcs:
+        out[a] |= 1 << b
+        arcs_in[b] |= 1 << a
+    return out, arcs_in
+
+
+def _flow_arcs(fout):
+    n = len(fout)
+    return [(a, b) for a in range(n) for b in range(n) if fout[a] >> b & 1]
+
+
+# levels {0} {1, 2} {3, 4, 5} {6, 7} {8}.  The first trace back from 8 takes
+# 8 <- 6 <- 3 <- 1 <- 0.  The second takes 8 <- 7 <- 4 <- 1 and finds 0 -> 1
+# saturated: 1 and then 4 lead nowhere and must be pruned before the trace
+# turns to 7 <- 5 <- 2 <- 0, all in the same phase.
+_DEAD_END = _directed(
+    9,
+    [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 6), (4, 7), (5, 7), (6, 8), (7, 8)],
+)
+
+
+def test_flow_prunes_a_dead_end_and_finishes_the_phase():
+    out, arcs_in = _DEAD_END
+    value, fout, seen = _flow(out, arcs_in, 0, 8)
+    assert value == 2
+    assert _flow_arcs(fout) == [(0, 1), (0, 2), (1, 3), (2, 5), (3, 6), (5, 7), (6, 8), (7, 8)]
+    assert seen == 1 << 0  # both arcs out of the source are saturated
+
+
+def test_flow_stops_at_its_cap_in_the_middle_of_a_phase():
+    out, arcs_in = _DEAD_END
+    value, fout, seen = _flow(out, arcs_in, 0, 8, cap=1)
+    assert (value, seen) == (1, None)
+    assert _flow_arcs(fout) == [(0, 1), (1, 3), (3, 6), (6, 8)]
+    assert _flow(out, arcs_in, 0, 8, cap=0) == (0, [0] * 9, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.1, max_value=0.7),
+    cap=st.integers(min_value=0, max_value=12),
+)
+def test_capped_flows_agree_with_networkx(n, seed, p, cap):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(np.random.default_rng(seed), n, p)
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(n))
+    split, plain = _network(g, split=True), _network(g, split=False)
+    for s, t in ((0, n - 1), (1, n // 2), (n // 3, 2)):
+        if s == t:
+            continue
+        value, _, seen = _flow(*plain, s, t, cap=cap)
+        local = nx.edge_connectivity(h, s, t)
+        assert value == min(cap, local)
+        assert (seen is None) == (local >= cap)
+        if not g.has_edge(s, t):
+            value, _, seen = _flow(*split, 2 * s + 1, 2 * t, cap=cap)
+            local = nx.node_connectivity(h, s, t)
+            assert value == min(cap, local)
+            assert (seen is None) == (local >= cap)
+
+
+# κ and κ′ witnesses as the one-path-per-BFS flow core gave them.  The
+# source side of the minimal minimum cut is the same for every maximum
+# flow, so a change in how augmenting paths are found must not move them.
+_EDGES_OUT_OF_0 = tuple((0, v) for v in range(1, 13))
+_PINNED_WITNESSES = {
+    ("line-of-edge-variant4", "gamma"): (
+        (7, (23, 24, 59, 60, 84, 85, 86)),
+        (12, _EDGES_OUT_OF_0),
+    ),
+    ("line-of-edge-variant4", "gamma_prime"): (
+        (6, (5, 11, 16, 24, 59, 60)),
+        (12, _EDGES_OUT_OF_0),
+    ),
+    ("vertex-3", "gamma"): (
+        (6, (6, 11, 12, 13, 16, 17)),
+        (6, ((0, 6), (0, 11), (0, 12), (0, 13), (0, 16), (0, 17))),
+    ),
+    ("vertex-3", "gamma_prime"): (
+        (4, (0, 1, 2, 3)),
+        (6, ((0, 7), (0, 8), (0, 9), (0, 10), (0, 14), (0, 15))),
+    ),
+}
+
+
+@pytest.mark.parametrize("family,which", sorted(_PINNED_WITNESSES), ids="-".join)
+def test_witnesses_are_pinned(family, which, line_variant4, vertex3):
+    fi = {"line-of-edge-variant4": line_variant4, "vertex-3": vertex3}[family]
+    g = getattr(fi, which)
+    kv, ke = vertex_connectivity(g), edge_connectivity(g)
+    assert ((kv.value, kv.witness), (ke.value, ke.witness)) == _PINNED_WITNESSES[family, which]
 
 
 def _menger_graphs():

@@ -4,6 +4,7 @@ swaps, and the Krylov / Berlekamp-Massey route with its fallback, each
 against the division-free Berkowitz route."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
+    Graph,
     _exactpoly,
     complete_bipartite,
     cycle_graph,
+    decode_graph6,
     disjoint_union,
     empty_graph,
     generate_family,
@@ -29,6 +32,7 @@ from specpairs._exactpoly import (
     _mod,
     _prime,
     _primes_covering,
+    _residues,
     berkowitz_charpoly,
     charpoly,
 )
@@ -292,6 +296,43 @@ def test_simple_spectrum_sparse_graph_never_takes_hessenberg(terms, monkeypatch)
     g = path_graph(40)  # distinct eigenvalues 2 cos(k pi / 41)
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
         assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+@pytest.mark.parametrize("terms", [_exactpoly._KRYLOV_TERMS, 1])
+@pytest.mark.parametrize("shift", [0, 3])
+def test_residues_of_degree_n_minus_1_are_completed_from_the_trace(shift, terms, monkeypatch):
+    # a path on 39 vertices with a pendant vertex at 19: colour classes of
+    # 21 and 19, so eigenvalue 0 twice and every other eigenvalue simple.
+    # Its spectrum is symmetric, so the missing root is 0 = tr(A) + m_{n-2};
+    # adding 3 I moves it to 3, which only the trace and m_{n-2} give.
+    def refuse(mat, p):
+        raise AssertionError("the Hessenberg route ran")
+
+    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
+    monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
+    n = 40
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(38)] + [(19, 39)])
+    mat = g.adj.astype(np.int64) + shift * np.eye(n, dtype=np.int64)
+    primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+    assert len(primes) > 1
+    found = _berlekamp_massey_mod(_krylov_sequences(mat, primes, 2 * n), primes, n)
+    assert [deg for deg, _ in found] == [n - 1] * len(primes)
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+def test_completed_residues_equal_hessenberg_on_bipartite_analyze_graphs():
+    # graphs 11 and 17 of the benchmark's graph6-analyze input at seed 0:
+    # bipartite, colour classes differing by 2
+    text = (Path(__file__).parent / "data" / "analyze_seed0_graphs_11_17.g6").read_text()
+    for line in text.split():
+        mat = decode_graph6(line).adj.astype(np.int64)
+        n = len(mat)
+        primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+        [(deg, _)] = _berlekamp_massey_mod(_krylov_sequences(mat, primes[:1], 2 * n), primes[:1], n)
+        assert deg == n - 1
+        residues = _residues(mat, primes)
+        for res, p in zip(residues, primes, strict=True):
+            assert res.tolist() == _hessenberg_charpoly_mod(mat, p).tolist()
 
 
 def test_derogatory_sparse_graph_probes_once_then_takes_hessenberg(monkeypatch):

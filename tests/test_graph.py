@@ -269,3 +269,72 @@ def test_graph6_decode_errors_carry_offsets():
 def test_graph6_round_trip(n, seed, p):
     g = random_graph(np.random.default_rng(seed), n, p)
     assert decode_graph6(encode_graph6(g)) == g
+
+
+def _reference_encode(g):
+    """graph6 text written bit by bit from the format's description."""
+    n = g.n
+    if n <= 62:
+        head = [n]
+    else:
+        head = [63] + [n >> s & 63 for s in (12, 6, 0)]
+    bits = [int(g.adj[u, v]) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = [
+        sum(b << (5 - j) for j, b in enumerate(bits[i : i + 6]))
+        for i in range(0, len(bits), 6)
+    ]
+    return "".join(chr(63 + x) for x in head + body)
+
+
+def _reference_decode(text):
+    codes = [ord(c) - 63 for c in text]
+    if codes[0] == 63:
+        n = (codes[1] << 12) | (codes[2] << 6) | codes[3]
+        codes = codes[4:]
+    else:
+        n, codes = codes[0], codes[1:]
+    bits = [c >> (5 - j) & 1 for c in codes for j in range(6)]
+    adj = np.zeros((n, n), dtype=bool)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    for (u, v), b in zip(pairs, bits):
+        adj[u, v] = adj[v, u] = bool(b)
+    return Graph(n, adj)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_graph6_codec_matches_a_bit_by_bit_reference(n, p):
+    g = random_graph(np.random.default_rng(n), n, p)
+    text = encode_graph6(g)
+    assert text == _reference_encode(g)
+    assert decode_graph6(text) == g == _reference_decode(text)
+
+
+# (text, message, offset) for malformed lines
+_MALFORMED = [
+    ("", "empty graph6 text", 0),
+    (">>graph6<<", "empty graph6 text", 0),
+    ("~", "truncated 18-bit order", 1),
+    ("~??", "truncated 18-bit order", 3),
+    ("~~??", "truncated 36-bit order", 4),
+    ("~!??", "character '!' outside graph6 range", 1),
+    ("~??~", "truncated adjacency bits", 4),
+    (">>graph6<<B", "truncated adjacency bits", 1),
+    ("C!!", "character '!' outside graph6 range", 1),
+    ("Bé", "character 'é' outside graph6 range", 1),
+    ("B\x7f", "character '\\x7f' outside graph6 range", 1),
+    ("B\ud800", "character '\\ud800' outside graph6 range", 1),
+    ("C~!", "trailing characters after adjacency bits", 2),
+    ("D~~~~", "trailing characters after adjacency bits", 3),
+    ("??", "trailing characters after adjacency bits", 1),
+    ("Ao", "nonzero padding in final character", 1),
+    ("E~~@", "nonzero padding in final character", 3),
+]
+
+
+@pytest.mark.parametrize("text,message,offset", _MALFORMED)
+def test_graph6_errors_keep_their_messages_and_offsets(text, message, offset):
+    with pytest.raises(Graph6Error) as exc:
+        decode_graph6(text)
+    assert (exc.value.message, exc.value.offset) == (message, offset)
