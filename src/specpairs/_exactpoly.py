@@ -7,7 +7,12 @@ coefficient bound, so the result is exact, not heuristic: c_{n-m} is
 inequality bounds each minor by the product of its rows' norms, and a
 row of a minor is no longer than the whole row, so
 |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
-polynomial of the row norms.  Each residue comes from one of two
+polynomial of the row norms.  Maclaurin's inequality bounds e_m by
+C(n, m) times the m-th power of the mean row norm, and the power-mean
+inequality bounds that mean by sqrt(S / n), where S is the sum of the
+squared entries.  So |c_{n-m}| <= C(n, m) (S / n)^(m/2), a closed form
+in integers that equals the uniform bound C(n, m) (max row norm)^m
+whenever the rows have equal norms.  Each residue comes from one of two
 routes, and a third, independent route checks them:
 
 * Krylov / Berlekamp-Massey, for sparse matrices.  The sequence
@@ -55,7 +60,6 @@ comparison is decided entirely in integer arithmetic.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -386,41 +390,24 @@ def _residues(a: np.ndarray, primes: list) -> list:
     return [_hessenberg_charpoly_mod(a, p) for p in primes]
 
 
-# row norms are rounded up to multiples of 2^-_NORM_BITS; the rounding
-# loosens each factor of e_m by a relative 2^-16 at most
-_NORM_BITS = 16
-
-
 def _coefficient_bound(mat: np.ndarray) -> int:
     """A bound B with |c_k| <= B for all char poly coefficients.
 
-    c_{n-m} is (-1)^m times the sum of the m x m principal minors, and
-    Hadamard's inequality bounds each minor by the product of its rows'
-    norms, each at most the norm of the whole row of ``mat``.  So
-    |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
-    polynomial of the row norms.  It is computed exactly: squared row
-    norms in Python ints, each norm rounded up to r_i / 2^_NORM_BITS,
-    and e_m(r) / 2^(m _NORM_BITS) rounded up.  Each term is capped by
-    the uniform bound C(n, m) * (max row norm)^m, which e_m never
-    exceeds in exact arithmetic but the rounding could on equal row
-    norms, so B is never above the uniform bound.
+    By Hadamard's inequality |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the
+    m-th elementary symmetric polynomial of the row norms (module
+    docstring).  Maclaurin's inequality gives e_m <= C(n, m) mu^m for
+    the mean row norm mu, and the power-mean inequality gives
+    mu^2 <= S / n for the sum S of the squared entries.  So
+    |c_{n-m}|^2 <= C(n, m)^2 S^m / n^m, and the isqrt of that quotient
+    rounded up, plus one, exceeds |c_{n-m}|.  S is summed over the
+    distinct entries in Python ints, so nothing overflows.
     """
     n = mat.shape[0]
-    squares = [sum(map(operator.mul, row, row)) for row in np.asarray(mat).tolist()]
-    e = [1]  # e[m] = e_m(r_1, ..., r_i) after i rows
-    for s in squares:
-        scaled = s << (2 * _NORM_BITS)
-        r = math.isqrt(scaled)
-        if r * r < scaled:
-            r += 1
-        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
-    b2 = max(max(squares, default=0), 1)
-    best = 1
-    for m in range(n + 1):
-        hadamard = -(-e[m] >> (m * _NORM_BITS))
-        uniform = math.isqrt(math.comb(n, m) ** 2 * b2**m) + 1
-        best = max(best, min(hadamard, uniform))
-    return best
+    values, counts = np.unique(mat, return_counts=True)
+    S = sum(v * v * c for v, c in zip(values.tolist(), counts.tolist()))
+    return max(
+        math.isqrt(-(-math.comb(n, m) ** 2 * S**m // n**m)) + 1 for m in range(n + 1)
+    )
 
 
 def charpoly(mat: np.ndarray) -> list:

@@ -53,7 +53,7 @@ FIEDLER_TOL = Fraction(1, 1 << 20)
 
 # the linegraph check builds the line graph of the pair and proves its
 # vertex connectivity by max-flow.  Measured on a 2-CPU machine, the
-# check takes 182 s at order 1736 (edge k=12) and 684 s at order 2442
+# check takes 31 s at order 1736 (edge k=12) and 55 s at order 2442
 # (edge k=14).  The ceiling sits just below the line graph of a line
 # graph, L(L(edge_pair(6).gamma)) of order 4056, and refuses nothing
 # smaller

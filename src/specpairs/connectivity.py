@@ -312,13 +312,13 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Exact vertex connectivity with a minimum separating set.
 
     Complete graphs (including n <= 1) have no separating set: the value
-    is n-1 by convention and the witness is None.
+    is n-1 by convention and the witness is None.  A disconnected graph
+    needs no scan of its own: some pair's sink lies in another component,
+    so that flow is 0 and its final BFS crosses no arc, giving (0, ()).
     """
     n = g.n
     if n <= 1 or g.num_edges == n * (n - 1) // 2:
         return ConnectivityResult(max(n - 1, 0), None, "vertex")
-    if components(g).count != 1:
-        return ConnectivityResult(0, (), "vertex")
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = int(degs[v0])
@@ -340,13 +340,12 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
     """Exact edge connectivity with a minimum disconnecting edge set.
 
     Graphs on fewer than 2 vertices cannot be disconnected by edge
-    deletion: the value is 0 and the witness is None.
+    deletion: the value is 0 and the witness is None.  A disconnected
+    graph gives (0, ()) as in ``vertex_connectivity``.
     """
     n = g.n
     if n <= 1:
         return ConnectivityResult(0, None, "edge")
-    if components(g).count != 1:
-        return ConnectivityResult(0, (), "edge")
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = int(degs[v0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
+    ConnectivityResult,
     Graph,
     PathSystem,
     brute_force_connectivity,
@@ -51,6 +52,27 @@ def test_disconnected_graphs():
     assert vertex_connectivity(g).witness == ()
     assert edge_connectivity(g).value == 0
     assert edge_connectivity(g).witness == ()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        disjoint_union(complete_graph(4), empty_graph(1)),
+        disjoint_union(empty_graph(1), complete_graph(4)),
+        disjoint_union(cycle_graph(5), cycle_graph(5)),
+        disjoint_union(path_graph(3), complete_graph(5)),
+    ],
+    ids=["K4+K1", "K1+K4", "C5+C5", "P3+K5"],
+)
+def test_disconnected_graphs_need_no_component_scan(g, monkeypatch):
+    # the pair loop reaches a sink in another component, where the flow
+    # is 0 and its final BFS crosses no arc, so the witness is empty
+    def refuse(_):
+        raise AssertionError("components() called")
+
+    monkeypatch.setattr("specpairs.connectivity.components", refuse)
+    assert vertex_connectivity(g) == ConnectivityResult(0, (), "vertex")
+    assert edge_connectivity(g) == ConnectivityResult(0, (), "edge")
 
 
 @pytest.mark.parametrize(

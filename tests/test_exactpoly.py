@@ -1,7 +1,8 @@
 """The modular charpoly's prime budget and its two residue routes: the
-row-norm Hadamard bound, the reduction helper, the Hessenberg pivot
-swaps, and the Krylov / Berlekamp-Massey route with its fallback, each
-against the division-free Berkowitz route."""
+Hadamard bound from the order and the sum of squared entries, the
+reduction helper, the Hessenberg pivot swaps, and the Krylov /
+Berlekamp-Massey route with its fallback, each against the
+division-free Berkowitz route."""
 
 import math
 from pathlib import Path
@@ -111,6 +112,31 @@ def test_paper_families_take_as_many_primes_as_before(tag, k):
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
         old = _primes_covering(2 * uniform_bound(mat.tolist()) + 1)
         assert _primes_covering(2 * _coefficient_bound(mat) + 1) == old
+
+
+def test_coefficient_bound_reads_only_the_order_and_the_sum_of_squares():
+    # both have sum of squares 10, but row norms 3, 1 against sqrt(5), sqrt(5)
+    a = np.array([[3, 0], [0, 1]], dtype=np.int64)
+    b = np.array([[1, 2], [2, 1]], dtype=np.int64)
+    assert _coefficient_bound(a) == _coefficient_bound(b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mat=integer_matrices(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_coefficient_bound_ignores_where_the_entries_sit(mat, seed):
+    rng = np.random.default_rng(seed)
+    moved = rng.permutation(mat.ravel()).reshape(mat.shape)
+    moved *= rng.choice([-1, 1], size=mat.shape)
+    assert _coefficient_bound(moved) == _coefficient_bound(mat)
+
+
+def test_analyze_graphs_take_at_most_one_prime_more():
+    # graphs 11 and 17 of the benchmark's graph6-analyze input at seed 0,
+    # which took 10 and 12 primes under the row-norm bound
+    text = (Path(__file__).parent / "data" / "analyze_seed0_graphs_11_17.g6").read_text()
+    for line, before in zip(text.split(), (10, 12), strict=True):
+        mat = decode_graph6(line).adj.astype(np.int64)
+        assert len(_primes_covering(2 * _coefficient_bound(mat) + 1)) <= before + 1
 
 
 @pytest.mark.parametrize("seed", range(12))
