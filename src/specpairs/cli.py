@@ -51,12 +51,12 @@ from .switching import InvalidPlanError, SwitchingPlan, switch
 
 FIEDLER_TOL = Fraction(1, 1 << 20)
 
-# the linegraph check builds the line graph of the pair and proves its
-# vertex connectivity by max-flow.  Measured on a 2-CPU machine, the
-# check takes 31 s at order 1736 (edge k=12) and 55 s at order 2442
-# (edge k=14).  The ceiling sits just below the line graph of a line
-# graph, L(L(edge_pair(6).gamma)) of order 4056, and refuses nothing
-# smaller
+# the linegraph check and the line-of-* families build the line graph
+# of a pair and prove its vertex connectivity by max-flow.  Measured on
+# a 2-CPU machine, the check takes 31 s at order 1736 (edge k=12) and
+# 55 s at order 2442 (edge k=14).  The ceiling sits just below the line
+# graph of a line graph, L(L(edge_pair(6).gamma)) of order 4056, and
+# refuses nothing smaller
 LINE_GRAPH_CEILING = 4000
 
 SIDES = ("gamma", "gamma_prime")
@@ -209,18 +209,29 @@ def _fiedler(fi, metrics):
     return computed, expected, ok, detail, {"laplacian": spectra.route["laplacian"]}
 
 
-def _refuse_large_line_graph(fi):
-    """Refuse the linegraph check before building a line graph past
-    ``LINE_GRAPH_CEILING``; its order is the base pair's edge count."""
+def _refuse_large_line_graph(fi, what):
+    """Refuse ``what`` before it builds the line graphs of ``fi`` past
+    ``LINE_GRAPH_CEILING``; their order is the pair's edge count."""
     order = max(fi.gamma.num_edges, fi.gamma_prime.num_edges)
     if order > LINE_GRAPH_CEILING:
         degree = 2 * int(fi.gamma.degrees().max()) - 2
         raise ValueError(
-            f"the linegraph check on {fi.tag} k={fi.k} would build a line "
-            f"graph of order {order} ({order * degree // 2} edges) and run "
-            f"max-flow vertex connectivity on it, over the ceiling of order "
-            f"{LINE_GRAPH_CEILING}"
+            f"{what} would build a line graph of order {order} "
+            f"({order * degree // 2} edges) and run max-flow vertex "
+            f"connectivity on it, over the ceiling of order {LINE_GRAPH_CEILING}"
         )
+
+
+def _refuse_large_line_family(tag, k):
+    """Refuse a line-of-* instance past ``LINE_GRAPH_CEILING`` from its
+    base pair alone, before any line graph is built."""
+    if not tag.startswith("line-of-"):
+        return
+    try:
+        base = generate_family(tag[len("line-of-") :], k)
+    except ValueError:
+        return  # a bad k: generate_family(tag, k) names it under tag
+    _refuse_large_line_graph(base, f"{tag} k={base.k}")
 
 
 def _linegraph(fi, metrics):
@@ -370,7 +381,7 @@ def cmd_generate(args) -> int:
 
 def _verify_report(fi, names, seed):
     if "linegraph" in names:
-        _refuse_large_line_graph(fi)
+        _refuse_large_line_graph(fi, f"the linegraph check on {fi.tag} k={fi.k}")
     metrics = _Metrics(fi)
     checks = [_CHECKS[name](fi, metrics) for name in names]
     verdict = "PASS" if all(c["status"] != "FAIL" for c in checks) else "FAIL"
@@ -402,6 +413,7 @@ def _verify_text(report):
 
 def cmd_verify(args) -> int:
     names = _parse_checks(args.checks)
+    _refuse_large_line_family(args.family, args.k)
     fi = generate_family(args.family, args.k)
     report = _verify_report(fi, names, args.seed)
     _emit(args, report, _verify_text(report))
@@ -423,6 +435,8 @@ def _table_ks(family, kmin, kmax):
 
 def cmd_table(args) -> int:
     ks = _table_ks(args.family, args.kmin, args.kmax)
+    for k in ks:
+        _refuse_large_line_family(args.family, k)
     rows = []
     for k in ks:
         t0 = time.perf_counter()

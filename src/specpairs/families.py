@@ -25,17 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    ALL_ONES_MINUS_IDENTITY,
-    BlockSpec,
-    Graph,
-    ZERO,
-    circulant,
-    cycle_graph,
-    empty_graph,
-    from_blocks,
-    line_graph,
-)
+from .graph import Graph, circulant, cycle_graph, empty_graph, line_graph
 from .switching import SwitchingPlan, switch
 
 __all__ = [
@@ -145,16 +135,15 @@ def vertex_pair(k: int) -> FamilyInstance:
         raise ValueError("k must be at least 2")
     base, branges, _ = base_circulant_G(k)
     n_blk, m_blk = _vertex_family_blocks(k)
-    spec = BlockSpec(
-        (2 * k, k + 1, 3 * k - 1),
-        (2 * k, k + 1, 3 * k - 1),
+    nx, nu, nv = 2 * k, k + 1, 3 * k - 1
+    adj = np.block(
         [
-            [ZERO, n_blk, m_blk],
-            [n_blk.T, ALL_ONES_MINUS_IDENTITY, ZERO],
-            [m_blk.T, ZERO, base.adj],
-        ],
+            [np.zeros((nx, nx), dtype=bool), n_blk, m_blk],
+            [n_blk.T, ~np.eye(nu, dtype=bool), np.zeros((nu, nv), dtype=bool)],
+            [m_blk.T, np.zeros((nv, nu), dtype=bool), base.adj],
+        ]
     )
-    gamma, _ = from_blocks(spec)
+    gamma = Graph.from_adjacency(adj)
     plan = SwitchingPlan(6 * k, [range(2 * k)])
     gamma_prime = switch(gamma, plan)
     off = 3 * k + 1
@@ -245,16 +234,14 @@ def _assemble_edge_pair(k, y_block, y_width):
     a1 = l_mat.copy()
     np.fill_diagonal(a1, False)
     stack = _m_stack(k, y_width, switched=False)
-    spec = BlockSpec(
-        (2 * k, 2 * k, y_width),
-        (2 * k, 2 * k, y_width),
+    adj = np.block(
         [
             [a1, l_mat, stack[: 2 * k]],
             [l_mat.T, a1, stack[2 * k :]],
             [stack[: 2 * k].T, stack[2 * k :].T, y_block],
-        ],
+        ]
     )
-    gamma, _ = from_blocks(spec)
+    gamma = Graph.from_adjacency(adj)
     plan = SwitchingPlan(4 * k + y_width, [range(2 * k), range(2 * k, 4 * k)])
     return gamma, plan, switch(gamma, plan)
 
@@ -314,19 +301,8 @@ def _replacement_block() -> np.ndarray:
     """The 12-vertex block standing in for b1/b2 degrees at k = 4:
     3 coupling vertices matched into 9 clique-like vertices."""
     eye3 = np.eye(3, dtype=bool)
-    blocks = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            if i == 0 and j == 0:
-                row.append(np.zeros((3, 3), dtype=bool))
-            elif i == 0 or j == 0:
-                row.append(eye3)
-            else:
-                row.append(~eye3)
-        blocks.append(row)
-    return np.block([[b.astype(np.uint8) for b in r] for r in blocks]).astype(
-        bool
+    return np.block(
+        [[np.zeros((3, 3), dtype=bool)] + [eye3] * 3] + [[eye3] + [~eye3] * 3] * 3
     )
 
 

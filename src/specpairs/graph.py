@@ -16,16 +16,8 @@ import numpy as np
 __all__ = [
     "Graph",
     "Graph6Error",
-    "BlockSpec",
     "ComponentPartition",
-    "ZERO",
-    "ALL_ONES",
-    "IDENTITY",
-    "ALL_ONES_MINUS_IDENTITY",
-    "CYCLE",
-    "ALL_ONES_MINUS_CYCLE",
     "circulant",
-    "from_blocks",
     "line_graph",
     "delete_vertices",
     "delete_edges",
@@ -55,9 +47,9 @@ class Graph6Error(ValueError):
 class Graph:
     """An undirected simple graph stored as a dense boolean adjacency matrix.
 
-    The matrix is validated (square, symmetric, zero diagonal), defensively
-    copied, and marked read-only, so a ``Graph`` can never drift out of its
-    invariants after construction.
+    The matrix is validated (square, entries 0 or 1, symmetric, zero
+    diagonal), defensively copied, and marked read-only, so a ``Graph`` can
+    never drift out of its invariants after construction.
     """
 
     n: int
@@ -65,12 +57,18 @@ class Graph:
 
     def __post_init__(self):
         a = np.asarray(self.adj)
-        if a.dtype != bool:
-            a = a.astype(bool)
         if a.shape != (self.n, self.n):
             raise ValueError(
                 f"adjacency shape {a.shape} does not match n={self.n}"
             )
+        if a.dtype != bool:
+            bad = np.argwhere((a != 0) & (a != 1))
+            if bad.size:
+                i, j = (int(x) for x in bad[0])
+                raise ValueError(
+                    f"adjacency entry {a[i, j]} at ({i}, {j}) is not 0 or 1"
+                )
+        a = a.astype(bool)  # a copy, so the caller's array stays its own
         if self.n and a.diagonal().any():
             v = int(np.flatnonzero(a.diagonal())[0])
             raise ValueError(f"self-loop at vertex {v}")
@@ -79,7 +77,6 @@ class Graph:
             raise ValueError(
                 f"adjacency not symmetric at ({int(bad[0])}, {int(bad[1])})"
             )
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "adj", a)
 
@@ -89,7 +86,7 @@ class Graph:
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {m.shape}")
-        return cls(m.shape[0], m.astype(bool))
+        return cls(m.shape[0], m)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -208,133 +205,6 @@ def circulant(n: int, jumps) -> Graph:
     row[sorted(js)] = True
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     return Graph(n, row[idx])
-
-
-# -- block assembly --------------------------------------------------------
-
-ZERO = "zero"
-ALL_ONES = "ones"
-IDENTITY = "identity"
-ALL_ONES_MINUS_IDENTITY = "ones_minus_identity"
-CYCLE = "cycle"
-ALL_ONES_MINUS_CYCLE = "ones_minus_cycle"
-
-_CELL_NAMES = {
-    ZERO,
-    ALL_ONES,
-    IDENTITY,
-    ALL_ONES_MINUS_IDENTITY,
-    CYCLE,
-    ALL_ONES_MINUS_CYCLE,
-}
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """A block-matrix recipe: class sizes plus one cell per class pair.
-
-    ``cells[i][j]`` is either one of the named patterns (ZERO, ALL_ONES,
-    IDENTITY, ALL_ONES_MINUS_IDENTITY, CYCLE, ALL_ONES_MINUS_CYCLE) or an
-    explicit 0/1 array of shape (row_sizes[i], col_sizes[j]).
-    """
-
-    row_sizes: tuple
-    col_sizes: tuple
-    cells: tuple
-
-    def __init__(self, row_sizes, col_sizes, cells):
-        object.__setattr__(self, "row_sizes", tuple(int(s) for s in row_sizes))
-        object.__setattr__(self, "col_sizes", tuple(int(s) for s in col_sizes))
-        object.__setattr__(self, "cells", tuple(tuple(r) for r in cells))
-
-
-def _render_cell(cell, rows, cols, where):
-    if isinstance(cell, str):
-        if cell not in _CELL_NAMES:
-            raise ValueError(f"unknown cell pattern {cell!r} at {where}")
-        if cell == ZERO:
-            return np.zeros((rows, cols), dtype=bool)
-        if cell == ALL_ONES:
-            return np.ones((rows, cols), dtype=bool)
-        if rows != cols:
-            raise ValueError(
-                f"pattern {cell!r} at {where} needs a square cell, "
-                f"got {rows}x{cols}"
-            )
-        if cell == IDENTITY:
-            return np.eye(rows, dtype=bool)
-        if cell == ALL_ONES_MINUS_IDENTITY:
-            return ~np.eye(rows, dtype=bool)
-        # remaining patterns involve a cycle
-        if rows < 3:
-            raise ValueError(
-                f"pattern {cell!r} at {where} needs size >= 3, got {rows}"
-            )
-        c = cycle_graph(rows).adj
-        return c if cell == CYCLE else ~(c | np.eye(rows, dtype=bool))
-    m = np.asarray(cell)
-    if m.shape != (rows, cols):
-        raise ValueError(
-            f"explicit cell at {where} has shape {m.shape}, "
-            f"expected {(rows, cols)}"
-        )
-    return m.astype(bool)
-
-
-def from_blocks(spec: BlockSpec):
-    """Assemble a graph from a BlockSpec.
-
-    Returns (graph, boundaries) where boundaries[i] = (start, stop) gives
-    the vertex range occupied by row class i.  The assembled matrix must
-    be square and symmetric with a zero diagonal; violations raise
-    ValueError naming the offending cell.
-    """
-    rs, cs = spec.row_sizes, spec.col_sizes
-    if any(s <= 0 for s in rs) or any(s <= 0 for s in cs):
-        raise ValueError("class sizes must be positive")
-    if len(spec.cells) != len(rs) or any(len(r) != len(cs) for r in spec.cells):
-        raise ValueError(
-            f"cell grid must be {len(rs)}x{len(cs)} to match the class lists"
-        )
-    if sum(rs) != sum(cs):
-        raise ValueError(
-            f"assembly is {sum(rs)}x{sum(cs)}, not square"
-        )
-    blocks = [
-        [
-            _render_cell(spec.cells[i][j], rs[i], cs[j], f"cell ({i}, {j})")
-            for j in range(len(cs))
-        ]
-        for i in range(len(rs))
-    ]
-    a = np.block([[b.astype(np.uint8) for b in row] for row in blocks])
-    n = a.shape[0]
-    # locate symmetry faults per cell pair for a useful message
-    if not np.array_equal(a, a.T):
-        rb = np.cumsum((0,) + rs)
-        cb = np.cumsum((0,) + cs)
-        for i in range(len(rs)):
-            for j in range(len(cs)):
-                block = a[rb[i]:rb[i + 1], cb[j]:cb[j + 1]]
-                mirror = a.T[rb[i]:rb[i + 1], cb[j]:cb[j + 1]]
-                if not np.array_equal(block, mirror):
-                    raise ValueError(
-                        f"assembly not symmetric: cell ({i}, {j}) does not "
-                        f"mirror cell ({j}, {i})"
-                    )
-    if a.diagonal().any():
-        rb = np.cumsum((0,) + rs)
-        v = int(np.flatnonzero(a.diagonal())[0])
-        i = int(np.searchsorted(rb, v, side="right")) - 1
-        raise ValueError(
-            f"assembly has a nonzero diagonal in cell ({i}, {i}) at vertex {v}"
-        )
-    bounds = []
-    start = 0
-    for s in rs:
-        bounds.append((start, start + s))
-        start += s
-    return Graph(n, a.astype(bool)), tuple(bounds)
 
 
 # -- derived graphs and edits ----------------------------------------------

@@ -147,6 +147,25 @@ def test_verify_refuses_the_line_graph_of_a_line_graph(capsys, monkeypatch):
     assert "order 4056" in err and "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "line-of-edge", "--k", "18", "--checks", "kappa"),
+        ("table", "--family", "line-of-edge", "--kmin", "18", "--kmax", "18"),
+    ],
+)
+def test_line_families_past_the_ceiling_are_refused(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("built a line graph past the ceiling")
+
+    monkeypatch.setattr("specpairs.families.line_graph", never)
+    monkeypatch.setattr("specpairs.cli.line_graph_family", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "line-of-edge k=18" in err and "order 4214" in err
+    assert "ceiling of order 4000" in err
+
+
 def test_connectivity_check_info_when_no_claim(variant4):
     check = _CHECKS["kappa"](variant4, _Metrics(variant4))
     assert check["status"] == "INFO"

@@ -1,8 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from specpairs import (
-    BlockSpec,
     FAMILY_TAGS,
     Graph,
     base_circulant_G,
@@ -12,7 +13,7 @@ from specpairs import (
     edge_connectivity,
     edge_pair,
     empty_graph,
-    from_blocks,
+    encode_graph6,
     generate_family,
     line_graph,
     line_graph_family,
@@ -148,16 +149,15 @@ def test_switched_assembly_matches_switch(edge6):
     np.fill_diagonal(a1, False)
     stack = _m_stack(k, y_width, switched=True)
     y_block = edge6.gamma.adj[4 * k :, 4 * k :]
-    spec = BlockSpec(
-        (2 * k, 2 * k, y_width),
-        (2 * k, 2 * k, y_width),
-        [
-            [a1, l_mat, stack[: 2 * k]],
-            [l_mat.T, a1, stack[2 * k :]],
-            [stack[: 2 * k].T, stack[2 * k :].T, y_block],
-        ],
+    rebuilt = Graph.from_adjacency(
+        np.block(
+            [
+                [a1, l_mat, stack[: 2 * k]],
+                [l_mat.T, a1, stack[2 * k :]],
+                [stack[: 2 * k].T, stack[2 * k :].T, y_block],
+            ]
+        )
     )
-    rebuilt, _ = from_blocks(spec)
     assert rebuilt == edge6.gamma_prime
 
 
@@ -180,6 +180,34 @@ def test_variant4_connectivities(variant4):
     assert edge_connectivity(variant4.gamma_prime).value == 6
     assert vertex_connectivity(variant4.gamma).value == 3
     assert vertex_connectivity(variant4.gamma_prime).value == 3
+
+
+# sha256 of "<graph6 of gamma>\n<graph6 of gamma_prime>" for every pair the
+# paper states; literal, so a change to any construction's bytes shows here
+PAPER_PAIR_DIGESTS = {
+    ("vertex", 2): "5d95bf92eed0f880d932897238261d152dbf114c9c5136b94fdf347e1546bbd8",
+    ("vertex", 3): "9b4bf986cf21f50b0c209e9a4711b9ccb9ae62f053b5b2e88308db3424e6adcb",
+    ("vertex", 4): "06e2ad39c4808c8db095bc295342ca381b25d11ddb1c4c5991bcff704fd5ef61",
+    ("vertex", 5): "1973421e9f3c9bf7b1f27e5ae5dc1a87f1e682d33b14316c2676e087014262ea",
+    ("vertex", 6): "99f21d63e5eb8b314962f159b90b8de58cc61d36155abd0314df5da8ab8ebe9c",
+    ("vertex", 7): "f413ab1933c0b1f970efb8086736f255728d1d9bde7140decd4c4563efd733ad",
+    ("vertex", 8): "237ff81f6e7c3d2c649c6fce6ed76d4b602317f258d1da62ae6807ab81838f5d",
+    ("vertex", 9): "df918fd8c57a066bbcf261335907091397620b12c687d3bec36a2f1f1dcd26ca",
+    ("vertex", 10): "70a4a12ef4babda52e43a822e79bbc61a58294e4a0db5c5d842a18af39310e14",
+    ("edge", 6): "b094643499d452c16392d5883547045e15b2b652049a4338830448a5af65ae85",
+    ("edge", 8): "830242a9e9c5dcd29e2288baee32e2b545adb77c419efefde2e365145adb7785",
+    ("edge", 10): "109cbc949fe2c7ade037b68eb4be19ee2f755d6775eaf82ae9db69b5236a488f",
+    ("edge", 12): "121d4f5dc2a6b1c5539b07a37407a7831a8b89a5ec5c99854eabe7b974f390da",
+    ("edge", 14): "7cdc76d79b2b0a539c800828c9ecac8687d0a03fee69f8a0fccb11eccc64ec1e",
+    ("edge-variant4", None): "baca804acafb4cea81d2e558c4396096956231daa9038eb76ade8baf0f3f5b42",
+}
+
+
+@pytest.mark.parametrize("tag,k", list(PAPER_PAIR_DIGESTS))
+def test_paper_constructions_are_pinned(tag, k):
+    fi = generate_family(tag, k)
+    text = encode_graph6(fi.gamma) + "\n" + encode_graph6(fi.gamma_prime)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAPER_PAIR_DIGESTS[tag, k]
 
 
 # -- line-graph derivation -------------------------------------------------------------

@@ -4,12 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
-    ALL_ONES,
-    ALL_ONES_MINUS_IDENTITY,
-    CYCLE,
-    IDENTITY,
-    ZERO,
-    BlockSpec,
     Graph,
     Graph6Error,
     circulant,
@@ -23,7 +17,6 @@ from specpairs import (
     disjoint_union,
     empty_graph,
     encode_graph6,
-    from_blocks,
     line_graph,
     path_graph,
     two_coloring,
@@ -43,6 +36,17 @@ def test_adjacency_is_validated():
         Graph(3, np.zeros((2, 3), dtype=bool))  # not square
     with pytest.raises(ValueError):
         Graph(3, np.zeros((2, 2), dtype=bool))  # n mismatch
+
+
+def test_adjacency_entries_must_be_zero_or_one():
+    with pytest.raises(ValueError, match=r"entry 2 at \(0, 1\) is not 0 or 1"):
+        Graph.from_adjacency([[0, 2], [2, 0]])
+    with pytest.raises(ValueError, match=r"entry -1 at \(0, 1\)"):
+        Graph(2, [[0, -1], [-1, 0]])
+    with pytest.raises(ValueError, match=r"entry 0.5 at \(0, 1\)"):
+        Graph(2, [[0, 0.5], [0.5, 0]])
+    # 0/1 in any dtype is accepted
+    assert Graph.from_adjacency([[0, 1.0], [1.0, 0]]) == Graph.from_edges(2, [(0, 1)])
 
 
 def test_adjacency_is_copied_and_frozen():
@@ -105,59 +109,6 @@ def test_cycle_graph_small_sizes():
     with pytest.raises(ValueError):
         cycle_graph(2)
     assert cycle_graph(3) == complete_graph(3)
-
-
-# -- block assembly -------------------------------------------------------------
-
-
-def test_from_blocks_basic():
-    spec = BlockSpec(
-        (2, 3),
-        (2, 3),
-        [[ZERO, ALL_ONES], [ALL_ONES, ALL_ONES_MINUS_IDENTITY]],
-    )
-    g, bounds = from_blocks(spec)
-    assert bounds == ((0, 2), (2, 5))
-    assert g.num_edges == 2 * 3 + 3
-    assert g.degrees().tolist() == [3, 3, 4, 4, 4]
-
-
-def test_from_blocks_with_explicit_cells():
-    m = np.array([[True, False], [False, True], [True, True]])
-    spec = BlockSpec((3, 2), (3, 2), [[ZERO, m], [m.T, ZERO]])
-    g, _ = from_blocks(spec)
-    assert g.num_edges == 4
-    assert g.has_edge(0, 3) and g.has_edge(2, 4)
-
-
-def test_from_blocks_cell_errors():
-    with pytest.raises(ValueError, match=r"cell \(0, 1\).*square"):
-        from_blocks(
-            BlockSpec((2, 3), (2, 3), [[ZERO, IDENTITY], [IDENTITY, ZERO]])
-        )
-    with pytest.raises(ValueError, match="size >= 3"):
-        from_blocks(BlockSpec((2,), (2,), [[CYCLE]]))
-    bad = np.ones((2, 2), dtype=bool)
-    with pytest.raises(ValueError, match=r"cell \(0, 1\).*shape"):
-        from_blocks(BlockSpec((2, 3), (2, 3), [[ZERO, bad], [bad.T, ZERO]]))
-    with pytest.raises(ValueError, match="diagonal"):
-        from_blocks(BlockSpec((2,), (2,), [[ALL_ONES]]))
-    asym = np.array([[False, True], [False, False]])
-    with pytest.raises(ValueError, match="symmetric"):
-        from_blocks(BlockSpec((2,), (2,), [[asym]]))
-    m = np.ones((2, 3), dtype=bool)
-    mirror_fault = np.zeros((3, 2), dtype=bool)
-    with pytest.raises(ValueError, match=r"mirror"):
-        from_blocks(BlockSpec((2, 3), (2, 3), [[ZERO, m], [mirror_fault, ZERO]]))
-
-
-def test_from_blocks_shape_validation():
-    with pytest.raises(ValueError, match="not square"):
-        from_blocks(BlockSpec((2, 2), (3,), [[ZERO], [ZERO]]))
-    with pytest.raises(ValueError, match="grid"):
-        from_blocks(BlockSpec((2,), (2,), [[ZERO, ZERO]]))
-    with pytest.raises(ValueError, match="positive"):
-        from_blocks(BlockSpec((0,), (0,), [[ZERO]]))
 
 
 # -- derived graphs ---------------------------------------------------------------
