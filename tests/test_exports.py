@@ -17,6 +17,5 @@ EXPORTING = ["specpairs"] + [
 
 @pytest.mark.parametrize("name", EXPORTING)
 def test_star_import_resolves_every_exported_name(name):
-    namespace = {}
-    exec(f"from {name} import *", namespace)
-    assert set(importlib.import_module(name).__all__) <= set(namespace)
+    # a star import raises AttributeError on a listed name the module lacks
+    exec(f"from {name} import *", {})
