@@ -52,11 +52,11 @@ from .switching import InvalidPlanError, SwitchingPlan, switch
 FIEDLER_TOL = Fraction(1, 1 << 20)
 
 # the linegraph check and the line-of-* families build the line graph
-# of a pair and prove its vertex connectivity by max-flow.  Measured on
-# a 2-CPU machine, the check takes 31 s at order 1736 (edge k=12) and
-# 55 s at order 2442 (edge k=14).  The ceiling sits just below the line
-# graph of a line graph, L(L(edge_pair(6).gamma)) of order 4056, and
-# refuses nothing smaller
+# of a pair and prove its vertex connectivity by max-flow on the base
+# graph.  Measured on a 2-CPU machine, the check takes about 2 s at
+# order 1736 (edge k=12) and 5 s at order 2442 (edge k=14).  The
+# ceiling sits just below the line graph of a line graph,
+# L(L(edge_pair(6).gamma)) of order 4056, and refuses nothing smaller
 LINE_GRAPH_CEILING = 4000
 
 SIDES = ("gamma", "gamma_prime")
@@ -90,8 +90,11 @@ class _Metrics:
         return self._spectra
 
     def kappa(self, which):
+        """kappa of one side; a line-graph instance offers its base graph
+        as the root its flows can run on."""
         if which not in self._kappa:
-            self._kappa[which] = vertex_connectivity(self.graphs()[which])
+            root = None if self.fi.base is None else getattr(self.fi.base, which)
+            self._kappa[which] = vertex_connectivity(self.graphs()[which], root=root)
         return self._kappa[which]
 
     def kappa_prime(self, which):
@@ -140,7 +143,9 @@ def _cospectral(fi, metrics):
 
 
 def _connectivity(fi, metrics, kind):
-    """``kind`` names both the claim and the metric: kappa or kappa_prime."""
+    """``kind`` names both the claim and the metric: kappa or kappa_prime.
+    The kappa check of a line-graph instance names the network each
+    side's flows ran on as its route."""
     computed = {
         which: _conn_json(g, getattr(metrics, kind)(which))
         for which, g in metrics.graphs().items()
@@ -156,11 +161,14 @@ def _connectivity(fi, metrics, kind):
         if entry["witness"] is not None and not entry["witness_checked"]
     ]
     values = "{}/{}".format(*(computed[which]["value"] for which in SIDES))
+    route = None
+    if kind == "kappa" and fi.base is not None:
+        route = {which: metrics.kappa(which).route for which in SIDES}
     if problems:
-        return computed, expected, False, "; ".join(problems), None
+        return computed, expected, False, "; ".join(problems), route
     if all(want is None for want in expected.values()):
-        return computed, expected, None, f"no claim made; computed {values}", None
-    return computed, expected, True, f"computed {values} as claimed", None
+        return computed, expected, None, f"no claim made; computed {values}", route
+    return computed, expected, True, f"computed {values} as claimed", route
 
 
 def _whitney(fi, metrics):
@@ -222,16 +230,15 @@ def _refuse_large_line_graph(fi, what):
         )
 
 
-def _refuse_large_line_family(tag, k):
-    """Refuse a line-of-* instance past ``LINE_GRAPH_CEILING`` from its
-    base pair alone, before any line graph is built."""
-    if not tag.startswith("line-of-"):
-        return
-    try:
-        base = generate_family(tag[len("line-of-") :], k)
-    except ValueError:
-        return  # a bad k: generate_family(tag, k) names it under tag
-    _refuse_large_line_graph(base, f"{tag} k={base.k}")
+def _build(tag, k):
+    """``generate_family(tag, k)``, refusing a line-of-* instance past
+    ``LINE_GRAPH_CEILING`` from its base pair, before its line graphs
+    are built."""
+
+    def check_base(base):
+        _refuse_large_line_graph(base, f"{tag} k={base.k}")
+
+    return generate_family(tag, k, check_base=check_base)
 
 
 def _linegraph(fi, metrics):
@@ -413,8 +420,7 @@ def _verify_text(report):
 
 def cmd_verify(args) -> int:
     names = _parse_checks(args.checks)
-    _refuse_large_line_family(args.family, args.k)
-    fi = generate_family(args.family, args.k)
+    fi = _build(args.family, args.k)
     report = _verify_report(fi, names, args.seed)
     _emit(args, report, _verify_text(report))
     return 0 if report["verdict"] == "PASS" else 1
@@ -435,12 +441,11 @@ def _table_ks(family, kmin, kmax):
 
 def cmd_table(args) -> int:
     ks = _table_ks(args.family, args.kmin, args.kmax)
-    for k in ks:
-        _refuse_large_line_family(args.family, k)
+    # every instance is built, and refused if need be, before any row
+    instances = [_build(args.family, k) for k in ks]
     rows = []
-    for k in ks:
+    for fi in instances:
         t0 = time.perf_counter()
-        fi = generate_family(args.family, k)
         metrics = _Metrics(fi)
         spectra = metrics.spectra()
         pa, pa2 = spectra.adjacency

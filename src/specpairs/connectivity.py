@@ -2,7 +2,8 @@
 
 Local connectivity between a vertex pair is a maximum flow on a
 unit-capacity network, found in Dinic's phases of shortest augmenting
-paths.  One flow routine serves two networks:
+paths.  A run goes from a set of source nodes to a set of sink nodes,
+each a bitmask.  One flow routine serves two networks:
 
 * vertex: the Even-Tarjan split network.  Node 2v is "into v" and node
   2v+1 is "out of v"; the arc 2v -> 2v+1 makes paths internally
@@ -19,11 +20,12 @@ at a time by OR-ing ``live`` over the frontier and keeps each level as a
 bitmask.  Paths are then traced back from the sink through the levels,
 looking at node b only among the candidates ``level & (in-arcs of b |
 fout[b])`` that can hold a live arc into b, and each is augmented as
-soon as it reaches the source.  A node with no candidate left leads
+soon as it reaches a source node.  A node with no candidate left leads
 nowhere for the rest of the phase, since augmenting only adds arcs that
-run back a level, so it is dropped from its level.  The phase ends when
-the sink itself has no candidate: every shortest path is blocked, and
-the next BFS finds longer ones.  A phase augments at least one path,
+run back a level, so it is dropped from its level.  A trace starts from
+a sink node on the BFS's last level, and the phase ends when no such
+sink node has a candidate left: every shortest path is blocked, and the
+next BFS finds longer ones.  A phase augments at least one path,
 and Even and Tarjan showed that a unit-capacity network needs only
 O(sqrt(n)) phases, so a run pays far fewer BFS passes than units of
 flow.
@@ -47,6 +49,22 @@ the vertices they enter (split network) or the edges they run along.
 Otherwise the witness is the seed cut.  Iteration orders are fixed by
 vertex index, so results are deterministic.
 
+Line graphs take a smaller network.  The vertices of L(G) are the edges
+of G; vertex i is edge i of ``G.edges()``.  Two non-adjacent vertices
+e = uv and f = xy of L(G) are separated by deleting a set C of other
+edges exactly when deleting C from G separates {u, v} from {x, y}.  So,
+by Menger's theorem for vertex sets, kappa(e, f) in L(G) is the number
+of edge-disjoint paths in G from {u, v} to {x, y}: one run on G's plain
+network from the node set {u, v} to the node set {x, y}, with G.n
+nodes instead of the 2m of L(G)'s split network.  Given G as ``root``,
+``vertex_connectivity`` runs its pairs, chosen on L(G) in the same
+order and with the same caps, this way.  The witness is unchanged.  The
+final BFS of a maximum flow on G reaches R, the least source side over
+all minimum cuts.  Every node of R is reached from u or v along edges
+inside R, and uv is an edge, so G[R] is connected.  Its edges are then
+the least e-side in L(G), and the edges leaving R are the least cut:
+the vertices the split network's witness names.
+
 A path system is read off the final flow: from the source, follow the
 lowest flow-carrying arc out of each node, map split nodes to their
 vertex, and drop closed detours.
@@ -58,12 +76,12 @@ subsets it will agree to scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, components, delete_edges, delete_vertices
+from .graph import Graph, components, delete_edges, delete_vertices, line_graph
 
 __all__ = [
     "ConnectivityResult",
@@ -86,11 +104,18 @@ class ConnectivityResult:
     graph, () when the graph is already disconnected, and None when no
     disconnecting set exists (complete graphs for the vertex kind,
     graphs on fewer than 2 vertices for the edge kind).
+
+    ``route`` names the network a vertex connectivity's flows ran on:
+    "split-network" (g's own) or "base-graph" (the plain network of the
+    graph g is the line graph of).  It is None when no flow was needed
+    and for the edge kind, which has one route.  It records how the
+    result was found, so results compare equal without it.
     """
 
     value: int
     witness: object
     kind: str
+    route: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -172,7 +197,8 @@ def _network(g: Graph, split: bool):
 
 
 def _flow(out, arcs_in, src: int, dst: int, cap=None):
-    """Unit-capacity max flow from node src to node dst, stopping at cap.
+    """Unit-capacity max flow from the node set src to the node set dst,
+    both bitmasks and disjoint, stopping at cap.
 
     Returns (value, fout, seen).  fout[a] is the set of heads of arcs out
     of a that carry flow.  When the flow stops below cap it is maximum and
@@ -180,12 +206,11 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
     """
     live = out.copy()
     fout = [0] * len(out)
-    sink = 1 << dst
     value = 0
     while value != cap:
-        seen = frontier = 1 << src
+        seen = frontier = src
         levels = []
-        while frontier and not frontier & sink:
+        while frontier and not frontier & dst:
             levels.append(frontier)
             reach = 0
             while frontier:
@@ -196,8 +221,9 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
             seen |= frontier
         if not frontier:
             return value, fout, seen
+        ends = frontier & dst  # the sink nodes at the end of a shortest path
         # path[j] sits on level len(levels) - j; extend it toward src
-        path = [dst]
+        path = [(ends & -ends).bit_length() - 1]
         while value != cap:
             b = path[-1]
             i = len(levels) - len(path)
@@ -213,7 +239,7 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
                         live[a] ^= bbit
                     live[b] |= low
                 value += 1
-                path = [dst]
+                path = [path[0]]
                 continue
             # a live arc into b is an unsaturated arc or a reversed flow arc
             bbit = 1 << b
@@ -225,11 +251,14 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
                 cand ^= low
             if cand:
                 path.append(low.bit_length() - 1)
-            elif b == dst:  # the level graph is blocked
-                break
-            else:  # b leads nowhere for the rest of this phase
+            elif len(path) > 1:  # b leads nowhere for the rest of this phase
                 levels[i + 1] ^= bbit
                 path.pop()
+            else:  # sink node b is blocked; the phase ends with the last one
+                ends ^= bbit
+                if not ends:
+                    break
+                path = [(ends & -ends).bit_length() - 1]
     return value, fout, None
 
 
@@ -282,7 +311,7 @@ def _disjoint_paths(g: Graph, s: int, t: int, split: bool) -> PathSystem:
     _check_endpoints(g, s, t)
     src, dst = (2 * s + 1, 2 * t) if split else (s, t)
     out, arcs_in = _network(g, split)
-    value, fout, _ = _flow(out, arcs_in, src, dst)
+    value, fout, _ = _flow(out, arcs_in, 1 << src, 1 << dst)
     paths = _paths(fout, src, dst, value, split)
     return PathSystem(s, t, "vertex" if split else "edge", paths)
 
@@ -308,13 +337,18 @@ def _check_endpoints(g: Graph, s: int, t: int):
 # -- global connectivity -----------------------------------------------------
 
 
-def vertex_connectivity(g: Graph) -> ConnectivityResult:
+def vertex_connectivity(g: Graph, root: Graph | None = None) -> ConnectivityResult:
     """Exact vertex connectivity with a minimum separating set.
 
     Complete graphs (including n <= 1) have no separating set: the value
     is n-1 by convention and the witness is None.  A disconnected graph
     needs no scan of its own: some pair's sink lies in another component,
     so that flow is 0 and its final BFS crosses no arc, giving (0, ()).
+
+    When g is the line graph of ``root`` (``line_graph(root) == g``), the
+    same pairs are run as flows between edge ends on root's plain
+    network, which has root.n nodes instead of 2 * g.n; the value and
+    witness are the same.  Any other ``root`` is ignored.
     """
     n = g.n
     if n <= 1 or g.num_edges == n * (n - 1) // 2:
@@ -327,13 +361,25 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     adj = g.adj
     pairs = [(v0, t) for t in range(n) if t != v0 and not adj[v0, t]]
     pairs.extend((u, w) for u, w in combinations(nv0, 2) if not adj[u, w])
+    if root is not None and root.num_edges == n and line_graph(root) == g:
+        # vertex i of g is edge i of root
+        edges = root.edges()
+        ends = [1 << u | 1 << v for u, v in edges]
+        out, arcs_in = _network(root, split=False)
+        for s, t in pairs:
+            value, _, seen = _flow(out, arcs_in, ends[s], ends[t], cap=best)
+            if value < best:
+                best = value
+                cut = set(_cut(out, seen, split=False))
+                best_cut = tuple(i for i, e in enumerate(edges) if e in cut)
+        return ConnectivityResult(best, best_cut, "vertex", "base-graph")
     out, arcs_in = _network(g, split=True)
     for s, t in pairs:
-        value, _, seen = _flow(out, arcs_in, 2 * s + 1, 2 * t, cap=best)
+        value, _, seen = _flow(out, arcs_in, 1 << 2 * s + 1, 1 << 2 * t, cap=best)
         if value < best:
             best = value
             best_cut = _cut(out, seen, split=True)
-    return ConnectivityResult(best, best_cut, "vertex")
+    return ConnectivityResult(best, best_cut, "vertex", "split-network")
 
 
 def edge_connectivity(g: Graph) -> ConnectivityResult:
@@ -352,7 +398,7 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
     best_cut = tuple(sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0)))
     out, arcs_in = _network(g, split=False)
     for t in range(1, n):
-        value, _, seen = _flow(out, arcs_in, 0, t, cap=best)
+        value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
         if value < best:
             best = value
             best_cut = _cut(out, seen, split=False)

@@ -409,8 +409,12 @@ EVEN_K_FAMILIES = tuple(
 )
 
 
-def generate_family(tag: str, k=None) -> FamilyInstance:
-    """Build a family instance by tag; the dispatch used by the CLI."""
+def generate_family(tag: str, k=None, check_base=None) -> FamilyInstance:
+    """Build a family instance by tag; the dispatch used by the CLI.
+
+    ``check_base``, when given, is called with a line-of-* family's base
+    pair before its line graphs are built, and may raise to refuse them.
+    """
     if tag not in _REGISTRY:
         raise ValueError(
             f"unknown family {tag!r}; expected one of " + ", ".join(FAMILY_TAGS)
@@ -424,7 +428,11 @@ def generate_family(tag: str, k=None) -> FamilyInstance:
         raise ValueError(f"family {tag!r} needs k")
     else:
         fi = build(k)
-    return line_graph_family(fi) if line else fi
+    if not line:
+        return fi
+    if check_base is not None:
+        check_base(fi)
+    return line_graph_family(fi)
 
 
 # -- documented witnesses ------------------------------------------------------

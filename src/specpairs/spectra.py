@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,11 +215,17 @@ class PairSpectra:
     (gamma_prime's taken from gamma's by ``similarity_certificate``) or
     "identity" (both derived from already proven polynomials, by the
     regular Laplacian identity or by Sachs' line-graph identity).
+    The Laplacian pair is computed by ``prove_laplacian`` when it is
+    first read, and kept.
     """
 
     adjacency: tuple
-    laplacian: tuple
     route: dict
+    prove_laplacian: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def laplacian(self) -> tuple:
+        return self.prove_laplacian()
 
 
 def _sachs_applies(fi) -> bool:
@@ -247,9 +254,10 @@ def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
     charpolys; a pair whose certificate fails therefore still gets its
     true polynomials.  A regular pair's Laplacians follow from the
     adjacency polynomials by identity, any other pair's from the
-    certificate or from two charpolys.  ``base_spectra``, when given, is
-    ``pair_char_polys(fi.base)`` already computed by the caller, and is
-    used in place of proving the base pair again.
+    certificate or from two charpolys; they are computed only when
+    read.  ``base_spectra``, when given, is ``pair_char_polys(fi.base)``
+    already computed by the caller, and is used in place of proving the
+    base pair again.
     """
     g, h = fi.gamma, fi.gamma_prime
     similar = frozenset()
@@ -272,19 +280,23 @@ def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
         adjacency = (char_poly_adjacency(g), char_poly_adjacency(h))
         adj_route = "charpoly"
     if g.n and g.is_regular() and h.is_regular():
-        laplacian = tuple(
-            _regular_laplacian(p, int(x.degrees()[0]))
-            for p, x in zip(adjacency, (g, h))
-        )
         lap_route = "identity"
     elif "laplacian" in similar:
-        p = char_poly_laplacian(g)
-        laplacian, lap_route = (p, p), "similarity"
+        lap_route = "similarity"
     else:
-        laplacian = (char_poly_laplacian(g), char_poly_laplacian(h))
         lap_route = "charpoly"
+
+    def laplacian():
+        if lap_route == "identity":
+            return tuple(
+                _regular_laplacian(p, int(x.degrees()[0]))
+                for p, x in zip(adjacency, (g, h))
+            )
+        p = char_poly_laplacian(g)
+        return (p, p) if lap_route == "similarity" else (p, char_poly_laplacian(h))
+
     return PairSpectra(
-        adjacency, laplacian, {"adjacency": adj_route, "laplacian": lap_route}
+        adjacency, {"adjacency": adj_route, "laplacian": lap_route}, laplacian
     )
 
 

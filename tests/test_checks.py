@@ -73,9 +73,9 @@ def connectivity_calls(monkeypatch):
         attr = f"{kind}_connectivity"
         inner = getattr(cli, attr)
 
-        def counted(g, inner=inner, seen=calls[kind]):
+        def counted(g, *args, inner=inner, seen=calls[kind], **kwargs):
             seen[encode_graph6(g)] += 1
-            return inner(g)
+            return inner(g, *args, **kwargs)
 
         monkeypatch.setattr(cli, attr, counted)
     return calls

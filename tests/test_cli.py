@@ -9,12 +9,15 @@ import jsonschema
 import pytest
 
 from specpairs import (
+    Graph,
     SwitchingPlan,
     decode_graph6,
     empty_graph,
     encode_graph6,
+    generate_family,
     vertex_pair,
 )
+from specpairs import families
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
@@ -132,6 +135,55 @@ def test_verify_reports_the_route_of_each_proof(capsys, schema):
         "fiedler": {"laplacian": "identity"},
         "linegraph": {"adjacency": "identity"},
     }
+
+
+def test_kappa_of_a_line_family_names_its_flow_route(capsys, schema):
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "line-of-edge", "--k", "6",
+        "--checks", "kappa", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    (kappa,) = report["checks"]
+    assert kappa["route"] == {"gamma": "base-graph", "gamma_prime": "base-graph"}
+    assert [kappa["computed"][w]["value"] for w in ("gamma", "gamma_prime")] == [14, 12]
+    assert kappa["status"] == "PASS"
+    # the flow route is not a spectral route
+    bad = dict(report, checks=[dict(kappa, route={"gamma": "identity"})])
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, schema)
+
+
+def test_a_line_graph_off_its_base_takes_the_split_route(vertex3):
+    line = generate_family("line-of-vertex", 3)
+    adj = line.gamma_prime.adj.copy()
+    adj[0, 40] = adj[40, 0] = not adj[0, 40]
+    tampered = FamilyInstance(
+        line.tag, line.k, line.gamma, Graph(line.gamma.n, adj), None, {},
+        line.expected, base=line.base,
+    )
+    check = _CHECKS["kappa"](tampered, _Metrics(tampered))
+    assert check["route"] == {"gamma": "base-graph", "gamma_prime": "split-network"}
+
+
+def test_a_line_family_builds_its_base_pair_once(capsys, monkeypatch):
+    built = []
+    build, line = families._REGISTRY["vertex"]
+
+    def counted(k):
+        built.append(k)
+        return build(k)
+
+    monkeypatch.setitem(families._REGISTRY, "line-of-vertex", (counted, line))
+    code, out, err = run_cli(capsys, "verify", "--family", "line-of-vertex", "--k", "3")
+    assert code == 0, err
+    assert built == [3]
+    code, out, err = run_cli(
+        capsys, "table", "--family", "line-of-vertex", "--kmin", "2", "--kmax", "3"
+    )
+    assert code == 0, err
+    assert built == [3, 2, 3]
 
 
 def test_verify_refuses_the_line_graph_of_a_line_graph(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from specpairs import (
     edge_pair,
     edge_pair_variant4,
     empty_graph,
+    line_graph,
     line_graph_family,
     max_edge_disjoint_paths,
     max_vertex_disjoint_paths,
@@ -29,7 +30,7 @@ from specpairs import (
     vertex_pair,
     verify_disconnecting_set,
 )
-from specpairs.connectivity import _flow, _network
+from specpairs.connectivity import _cut, _flow, _network
 from tests.conftest import random_graph
 
 
@@ -213,7 +214,7 @@ _DEAD_END = _directed(
 
 def test_flow_prunes_a_dead_end_and_finishes_the_phase():
     out, arcs_in = _DEAD_END
-    value, fout, seen = _flow(out, arcs_in, 0, 8)
+    value, fout, seen = _flow(out, arcs_in, 1 << 0, 1 << 8)
     assert value == 2
     assert _flow_arcs(fout) == [(0, 1), (0, 2), (1, 3), (2, 5), (3, 6), (5, 7), (6, 8), (7, 8)]
     assert seen == 1 << 0  # both arcs out of the source are saturated
@@ -221,10 +222,10 @@ def test_flow_prunes_a_dead_end_and_finishes_the_phase():
 
 def test_flow_stops_at_its_cap_in_the_middle_of_a_phase():
     out, arcs_in = _DEAD_END
-    value, fout, seen = _flow(out, arcs_in, 0, 8, cap=1)
+    value, fout, seen = _flow(out, arcs_in, 1 << 0, 1 << 8, cap=1)
     assert (value, seen) == (1, None)
     assert _flow_arcs(fout) == [(0, 1), (1, 3), (3, 6), (6, 8)]
-    assert _flow(out, arcs_in, 0, 8, cap=0) == (0, [0] * 9, None)
+    assert _flow(out, arcs_in, 1 << 0, 1 << 8, cap=0) == (0, [0] * 9, None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -243,15 +244,116 @@ def test_capped_flows_agree_with_networkx(n, seed, p, cap):
     for s, t in ((0, n - 1), (1, n // 2), (n // 3, 2)):
         if s == t:
             continue
-        value, _, seen = _flow(*plain, s, t, cap=cap)
+        value, _, seen = _flow(*plain, 1 << s, 1 << t, cap=cap)
         local = nx.edge_connectivity(h, s, t)
         assert value == min(cap, local)
         assert (seen is None) == (local >= cap)
         if not g.has_edge(s, t):
-            value, _, seen = _flow(*split, 2 * s + 1, 2 * t, cap=cap)
+            value, _, seen = _flow(*split, 1 << 2 * s + 1, 1 << 2 * t, cap=cap)
             local = nx.node_connectivity(h, s, t)
             assert value == min(cap, local)
             assert (seen is None) == (local >= cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.1, max_value=0.7),
+    cap=st.sampled_from([None, 1, 2, 3]),
+)
+def test_set_flows_agree_with_contracted_flows(n, seed, p, cap):
+    # a flow from {a, b} to {c, d} is a flow between the two sets each
+    # contracted to one node, whose parallel arcs add their capacities
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    a, b, c, d = (int(v) for v in rng.permutation(n)[:4])
+    name = {a: "S", b: "S", c: "T", d: "T"}
+    contracted = nx.DiGraph()
+    contracted.add_nodes_from(["S", "T"])
+    for u, v in g.edges():
+        u, v = name.get(u, u), name.get(v, v)
+        if u != v:
+            for x, y in ((u, v), (v, u)):
+                if contracted.has_edge(x, y):
+                    contracted[x][y]["capacity"] += 1
+                else:
+                    contracted.add_edge(x, y, capacity=1)
+    local = nx.maximum_flow_value(contracted, "S", "T")
+    out, arcs_in = _network(g, split=False)
+    value, _, seen = _flow(out, arcs_in, 1 << a | 1 << b, 1 << c | 1 << d, cap=cap)
+    assert value == (local if cap is None else min(cap, local))
+    if cap is not None and local >= cap:
+        assert seen is None
+    else:
+        # the final reached set holds the sources and is cut by the flow value
+        assert seen >> a & seen >> b & 1 and not (seen >> c | seen >> d) & 1
+        assert len(_cut(out, seen, split=False)) == value
+
+
+# -- vertex connectivity of a line graph on its base graph -------------------------
+
+
+def _paper_line_roots():
+    pairs = [vertex_pair(k) for k in (2, 3, 4)] + [edge_pair_variant4(), edge_pair(6)]
+    return [
+        pytest.param(getattr(fi, which), id=f"{fi.tag}-k{fi.k}-{which}")
+        for fi in pairs
+        for which in ("gamma", "gamma_prime")
+    ]
+
+
+def _assert_routes_agree(root):
+    g = line_graph(root)
+    split, base = vertex_connectivity(g), vertex_connectivity(g, root=root)
+    assert (base.value, base.witness) == (split.value, split.witness)
+    if split.witness is None:  # complete: no flow on either route
+        assert split.route is None and base.route is None
+    else:
+        assert (split.route, base.route) == ("split-network", "base-graph")
+    return base
+
+
+@pytest.mark.parametrize("root", _paper_line_roots())
+def test_line_graph_kappa_on_the_base_graph_matches_the_split_network(root):
+    base = _assert_routes_agree(root)
+    assert verify_disconnecting_set(line_graph(root), base.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.8),
+)
+def test_line_graph_routes_agree_on_random_graphs(n, seed, p):
+    # sparse samples are often disconnected, and some have no edges
+    _assert_routes_agree(random_graph(np.random.default_rng(seed), n, p))
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        pytest.param(complete_bipartite(1, 5), id="star"),  # L is K5
+        pytest.param(cycle_graph(3), id="triangle"),  # L is K3
+        pytest.param(disjoint_union(cycle_graph(3), cycle_graph(3)), id="two-triangles"),
+        pytest.param(disjoint_union(path_graph(2), path_graph(2)), id="two-edges"),
+        pytest.param(path_graph(6), id="path"),
+        pytest.param(complete_graph(5), id="k5"),
+        pytest.param(complete_bipartite(3, 4), id="k34"),
+    ],
+)
+def test_line_graph_routes_agree_on_small_graphs(root):
+    _assert_routes_agree(root)
+
+
+def test_a_root_that_is_not_the_base_graph_is_ignored():
+    g = line_graph(cycle_graph(6))  # a 6-cycle; K4 has 6 edges too
+    for root in (complete_graph(4), cycle_graph(5), empty_graph(0)):
+        r = vertex_connectivity(g, root=root)
+        assert r == vertex_connectivity(g)
+        assert r.route == "split-network"
 
 
 # κ and κ′ witnesses as the one-path-per-BFS flow core gave them.  The

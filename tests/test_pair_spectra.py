@@ -212,6 +212,27 @@ def test_linegraph_check_proves_the_base_pair_once(monkeypatch):
     assert calls == [36]
 
 
+def test_laplacians_are_proven_only_when_read(monkeypatch, vertex3):
+    shifts = []
+    real = spectra._regular_laplacian
+
+    def counting(p, d):
+        shifts.append(d)
+        return real(p, d)
+
+    monkeypatch.setattr(spectra, "_regular_laplacian", counting)
+    ps = pair_char_polys(line_graph_family(vertex3))
+    assert shifts == []
+    assert ps.route == {"adjacency": "identity", "laplacian": "identity"}
+    first = ps.laplacian
+    assert shifts == [10, 10]
+    assert ps.laplacian is first and shifts == [10, 10]
+    # the linegraph check reads only the line graphs' adjacency polynomials
+    shifts.clear()
+    report = _verify_report(vertex3, ("linegraph",), None)
+    assert report["verdict"] == "PASS" and shifts == []
+
+
 # -- one charpoly per family ------------------------------------------------------
 
 
