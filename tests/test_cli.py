@@ -155,7 +155,7 @@ def test_kappa_of_a_line_family_names_its_flow_route(capsys, schema):
         jsonschema.validate(bad, schema)
 
 
-def test_a_line_graph_off_its_base_takes_the_split_route(vertex3):
+def test_a_line_graph_off_its_base_takes_the_split_route():
     line = generate_family("line-of-vertex", 3)
     adj = line.gamma_prime.adj.copy()
     adj[0, 40] = adj[40, 0] = not adj[0, 40]
