@@ -90,11 +90,8 @@ class _Metrics:
         return self._spectra
 
     def kappa(self, which):
-        """kappa of one side; a line-graph instance offers its base graph
-        as the root its flows can run on."""
         if which not in self._kappa:
-            root = None if self.fi.base is None else getattr(self.fi.base, which)
-            self._kappa[which] = vertex_connectivity(self.graphs()[which], root=root)
+            self._kappa[which] = vertex_connectivity(self.graphs()[which])
         return self._kappa[which]
 
     def kappa_prime(self, which):

@@ -56,7 +56,7 @@ edges exactly when deleting C from G separates {u, v} from {x, y}.  So,
 by Menger's theorem for vertex sets, kappa(e, f) in L(G) is the number
 of edge-disjoint paths in G from {u, v} to {x, y}: one run on G's plain
 network from the node set {u, v} to the node set {x, y}, with G.n
-nodes instead of the 2m of L(G)'s split network.  Given G as ``root``,
+nodes instead of the 2m of L(G)'s split network.  When L(G)'s ``base`` is G,
 ``vertex_connectivity`` runs its pairs, chosen on L(G) in the same
 order and with the same caps, this way.  The witness is unchanged.  The
 final BFS of a maximum flow on G reaches R, the least source side over
@@ -81,7 +81,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, components, delete_edges, delete_vertices, line_graph
+from .graph import Graph, components, delete_edges, delete_vertices
 
 __all__ = [
     "ConnectivityResult",
@@ -106,10 +106,10 @@ class ConnectivityResult:
     graphs on fewer than 2 vertices for the edge kind).
 
     ``route`` names the network a vertex connectivity's flows ran on:
-    "split-network" (g's own) or "base-graph" (the plain network of the
-    graph g is the line graph of).  It is None when no flow was needed
-    and for the edge kind, which has one route.  It records how the
-    result was found, so results compare equal without it.
+    "split-network" (g's own) or "base-graph" (the plain network of
+    ``g.base``).  It is None when no flow was needed and for the edge
+    kind, which has one route.  It records how the result was found,
+    so results compare equal without it.
     """
 
     value: int
@@ -337,7 +337,7 @@ def _check_endpoints(g: Graph, s: int, t: int):
 # -- global connectivity -----------------------------------------------------
 
 
-def vertex_connectivity(g: Graph, root: Graph | None = None) -> ConnectivityResult:
+def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Exact vertex connectivity with a minimum separating set.
 
     Complete graphs (including n <= 1) have no separating set: the value
@@ -345,10 +345,9 @@ def vertex_connectivity(g: Graph, root: Graph | None = None) -> ConnectivityResu
     needs no scan of its own: some pair's sink lies in another component,
     so that flow is 0 and its final BFS crosses no arc, giving (0, ()).
 
-    When g is the line graph of ``root`` (``line_graph(root) == g``), the
-    same pairs are run as flows between edge ends on root's plain
-    network, which has root.n nodes instead of 2 * g.n; the value and
-    witness are the same.  Any other ``root`` is ignored.
+    When g was built by ``line_graph``, the same pairs run as flows
+    between edge ends on the plain network of ``g.base``, with g.base.n
+    nodes instead of 2 * g.n, giving the same value and witness.
     """
     n = g.n
     if n <= 1 or g.num_edges == n * (n - 1) // 2:
@@ -361,11 +360,11 @@ def vertex_connectivity(g: Graph, root: Graph | None = None) -> ConnectivityResu
     adj = g.adj
     pairs = [(v0, t) for t in range(n) if t != v0 and not adj[v0, t]]
     pairs.extend((u, w) for u, w in combinations(nv0, 2) if not adj[u, w])
-    if root is not None and root.num_edges == n and line_graph(root) == g:
-        # vertex i of g is edge i of root
-        edges = root.edges()
+    if g.base is not None:
+        # vertex i of g is edge i of g.base
+        edges = g.base.edges()
         ends = [1 << u | 1 << v for u, v in edges]
-        out, arcs_in = _network(root, split=False)
+        out, arcs_in = _network(g.base, split=False)
         for s, t in pairs:
             value, _, seen = _flow(out, arcs_in, ends[s], ends[t], cap=best)
             if value < best:

@@ -9,7 +9,7 @@ operations return new graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,14 @@ class Graph:
     The matrix is validated (square, entries 0 or 1, symmetric, zero
     diagonal), defensively copied, and marked read-only, so a ``Graph`` can
     never drift out of its invariants after construction.
+
+    ``base`` is set only by ``line_graph``, to the graph this is the line
+    graph of; it is None otherwise, and equality and hashing ignore it.
     """
 
     n: int
     adj: np.ndarray
+    base: Graph | None = field(default=None, init=False)
 
     def __post_init__(self):
         a = np.asarray(self.adj)
@@ -215,7 +219,7 @@ def line_graph(g: Graph) -> Graph:
     an endpoint.
 
     Vertex i of the result is edge ``g.edges()[i]``, i.e. edges are taken
-    as (min, max) pairs in lexicographic order.
+    as (min, max) pairs in lexicographic order.  The result's ``base`` is g.
     """
     es = g.edges()
     m = len(es)
@@ -230,7 +234,9 @@ def line_graph(g: Graph) -> Graph:
         )
         np.fill_diagonal(shared, False)
         a = shared
-    return Graph(m, a)
+    line = Graph(m, a)
+    object.__setattr__(line, "base", g)
+    return line
 
 
 def delete_vertices(g: Graph, vertices):

@@ -22,12 +22,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import _exactpoly
-from .graph import Graph, line_graph
+from .graph import Graph
 
 __all__ = [
     "IntPolynomial",
@@ -113,13 +113,11 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-@lru_cache(maxsize=64)
 def char_poly_adjacency(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - A)."""
     return IntPolynomial(_exactpoly.charpoly(g.adj.astype(np.int64)))
 
 
-@lru_cache(maxsize=64)
 def char_poly_laplacian(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - (D - A)).
 
@@ -231,13 +229,12 @@ class PairSpectra:
 def _sachs_applies(fi) -> bool:
     """Whether Sachs' identity gives a line-graph instance's polynomials
     from its base pair: both base graphs d-regular with d >= 2, and each
-    graph of the instance equal to the line graph of its base graph, as
+    graph of the instance built by ``line_graph`` from its base graph, as
     ``families.line_graph_family`` builds it."""
     if fi.base is None:
         return False
     return all(
-        g.n and g.is_regular() and g.degrees()[0] >= 2
-        and line_g.n == g.num_edges and line_graph(g) == line_g
+        g.n and g.is_regular() and g.degrees()[0] >= 2 and line_g.base == g
         for line_g, g in (
             (fi.gamma, fi.base.gamma), (fi.gamma_prime, fi.base.gamma_prime)
         )

@@ -12,12 +12,14 @@ from specpairs import (
     Graph,
     SwitchingPlan,
     decode_graph6,
+    edge_pair_variant4,
     empty_graph,
     encode_graph6,
     generate_family,
+    line_graph,
     vertex_pair,
 )
-from specpairs import families
+from specpairs import connectivity, families, spectra
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
@@ -184,6 +186,28 @@ def test_a_line_family_builds_its_base_pair_once(capsys, monkeypatch):
     )
     assert code == 0, err
     assert built == [3, 2, 3]
+
+
+def test_each_line_graph_is_built_once(capsys, monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g.n)
+        return line_graph(g)
+
+    # the names a line graph could be rebuilt through, where they exist
+    for module in (families, spectra, connectivity):
+        monkeypatch.setattr(module, "line_graph", counted, raising=False)
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "line-of-edge", "--k", "6",
+        "--checks", "cospectral,kappa",
+    )
+    assert code == 0, err
+    assert built == [52, 52]
+    built.clear()
+    report = _verify_report(edge_pair_variant4(), ("linegraph",), None)
+    assert report["verdict"] == "PASS"
+    assert built == [36, 36]
 
 
 def test_verify_refuses_the_line_graph_of_a_line_graph(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from specpairs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    decode_graph6,
     delete_edges,
     delete_vertices,
     disjoint_union,
@@ -21,6 +22,7 @@ from specpairs import (
     edge_pair,
     edge_pair_variant4,
     empty_graph,
+    encode_graph6,
     line_graph,
     line_graph_family,
     max_edge_disjoint_paths,
@@ -306,7 +308,8 @@ def _paper_line_roots():
 
 def _assert_routes_agree(root):
     g = line_graph(root)
-    split, base = vertex_connectivity(g), vertex_connectivity(g, root=root)
+    # an equal copy made by the constructor has no base graph to run on
+    split, base = vertex_connectivity(Graph(g.n, g.adj)), vertex_connectivity(g)
     assert (base.value, base.witness) == (split.value, split.witness)
     if split.witness is None:  # complete: no flow on either route
         assert split.route is None and base.route is None
@@ -348,12 +351,24 @@ def test_line_graph_routes_agree_on_small_graphs(root):
     _assert_routes_agree(root)
 
 
-def test_a_root_that_is_not_the_base_graph_is_ignored():
-    g = line_graph(cycle_graph(6))  # a 6-cycle; K4 has 6 edges too
-    for root in (complete_graph(4), cycle_graph(5), empty_graph(0)):
-        r = vertex_connectivity(g, root=root)
-        assert r == vertex_connectivity(g)
+def test_an_equal_copy_of_a_line_graph_takes_the_split_route():
+    g = line_graph(vertex_pair(3).gamma_prime)
+    by_base = vertex_connectivity(g)
+    assert by_base.route == "base-graph"
+    copies = (
+        Graph(g.n, g.adj),
+        Graph.from_adjacency(g.adj),
+        decode_graph6(encode_graph6(g)),
+        delete_edges(g, []),
+        delete_vertices(g, [])[0],
+    )
+    for h in copies:
+        assert h == g and hash(h) == hash(g) and h.base is None
+        r = vertex_connectivity(h)
+        assert (r.value, r.witness) == (by_base.value, by_base.witness)
         assert r.route == "split-network"
+    with pytest.raises(TypeError):
+        Graph(g.n, g.adj, base=g.base)
 
 
 # κ and κ′ witnesses as the one-path-per-BFS flow core gave them.  The

@@ -121,6 +121,7 @@ def test_line_graph_known():
     assert line_graph(star) == complete_graph(3)
     lk4 = line_graph(complete_graph(4))
     assert lk4.n == 6 and lk4.is_regular() and lk4.degree(0) == 4
+    assert star.base is None and line_graph(star).base is star
 
 
 def test_line_graph_empty_edge_set():

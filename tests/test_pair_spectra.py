@@ -245,8 +245,6 @@ def test_verify_takes_one_charpoly_per_family(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(_exactpoly, "charpoly", counting)
-    for cached in (spectra.char_poly_adjacency, spectra.char_poly_laplacian):
-        cached.cache_clear()
     fi = line_graph_family(edge_pair_variant4())
     report = _verify_report(fi, ("cospectral", "kappa", "fiedler"), None)
     assert report["verdict"] == "PASS"
