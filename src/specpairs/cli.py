@@ -432,7 +432,9 @@ def _table_ks(family, kmin, kmax):
         raise ValueError("--kmin must not exceed --kmax")
     ks = range(kmin, kmax + 1)
     if family in EVEN_K_FAMILIES:
-        return [k for k in ks if k % 2 == 0]
+        ks = [k for k in ks if k % 2 == 0]
+        if not ks:
+            raise ValueError(f"--kmin {kmin} --kmax {kmax} holds no even k")
     return list(ks)
 
 

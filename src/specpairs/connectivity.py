@@ -35,8 +35,29 @@ Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 * vertex: fix a lowest-index minimum-degree vertex v0; take the minimum
   of kappa(v0, t) over non-neighbors t and kappa(u, w) over non-adjacent
   pairs of neighbors of v0, seeded with the cut N(v0);
-* edge: the minimum of lambda(0, t) over all t, seeded with the edge
-  star of a minimum-degree vertex.
+* edge (Matula): the minimum of lambda(0, t) over t in a dominating set
+  D that holds 0, seeded with the edge star of a lowest-index
+  minimum-degree vertex; |D| - 1 runs instead of n - 1.
+
+Matula's lemma makes D enough.  Let lambda < delta and take a minimum
+edge cut with sides S and T.  A side S with s vertices has degree sum
+at least delta * s, of which at most s(s - 1) stays inside S, so
+s(delta - s + 1) <= lambda; for 1 <= s <= delta the left side is at
+least delta, so s > delta > lambda.  At most lambda vertices of S
+meet the cut, so some vertex of S has its closed neighbourhood inside
+S, and D holds it or a neighbor of it: D meets S, and likewise T.  Some
+t in D then lies on the side away from 0, and lambda(0, t) = lambda.
+D is built greedily on the plain network's bitmasks: 0 first, then the
+vertex whose closed neighbourhood covers the most uncovered vertices,
+the lowest index on ties.
+
+The witness is the one the loop over every t gave: the seed star when
+no run falls below delta, else the cut of the first t in vertex order
+with lambda(0, t) = lambda.  A scan over t = 1, 2, ... finds that t.  It
+reuses every run on D that finished below its cap or above lambda, and
+runs each other t with cap lambda + 1, so a run that reaches lambda
+finishes below its cap and holds a maximum flow.  The scan stops at the
+latest at the run on D that first reached lambda.
 
 Each run is capped at the best value found so far, and stops as soon
 as it reaches the cap, even in the middle of a phase, so only strict
@@ -381,27 +402,55 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     return ConnectivityResult(best, best_cut, "vertex", "split-network")
 
 
+def _dominating_set(nbrs) -> list:
+    """A dominating set of the plain network's vertices, greedily: 0 first,
+    then the vertex whose closed neighbourhood covers the most uncovered
+    vertices, the lowest index on ties."""
+    n = len(nbrs)
+    closed = [m | 1 << v for v, m in enumerate(nbrs)]
+    dom, uncovered = [0], ((1 << n) - 1) & ~closed[0]
+    while uncovered:
+        v = max(range(n), key=lambda u: (closed[u] & uncovered).bit_count())
+        dom.append(v)
+        uncovered &= ~closed[v]
+    return dom
+
+
 def edge_connectivity(g: Graph) -> ConnectivityResult:
     """Exact edge connectivity with a minimum disconnecting edge set.
 
     Graphs on fewer than 2 vertices cannot be disconnected by edge
     deletion: the value is 0 and the witness is None.  A disconnected
     graph gives (0, ()) as in ``vertex_connectivity``.
+
+    The value is min(delta, lambda(0, t) over t in a dominating set D
+    that holds 0), which takes |D| - 1 flows.  When it is below delta,
+    the witness is the cut of the first t in vertex order with
+    lambda(0, t) equal to it, found by a scan whose runs are capped one
+    above the value.
     """
     n = g.n
     if n <= 1:
         return ConnectivityResult(0, None, "edge")
     degs = g.degrees()
     v0 = int(degs.argmin())
-    best = int(degs[v0])
-    best_cut = tuple(sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0)))
+    best = delta = int(degs[v0])
     out, arcs_in = _network(g, split=False)
-    for t in range(1, n):
+    runs = {}  # t -> (value, seen) of its run on D
+    for t in _dominating_set(out)[1:]:
         value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
-        if value < best:
-            best = value
-            best_cut = _cut(out, seen, split=False)
-    return ConnectivityResult(best, best_cut, "edge")
+        runs[t] = value, seen
+        best = min(best, value)
+    if best == delta:
+        star = sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0))
+        return ConnectivityResult(best, tuple(star), "edge")
+    for t in range(1, n):  # stops at the latest at D's first run to reach best
+        value, seen = runs.get(t, (best, None))
+        if seen is None and value == best:  # not run, or stopped at cap best
+            value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best + 1)
+        if value == best:
+            break
+    return ConnectivityResult(best, _cut(out, seen, split=False), "edge")
 
 
 # -- independent oracle ------------------------------------------------------

@@ -294,6 +294,14 @@ def test_table_argument_validation(capsys):
     assert code == 2
 
 
+def test_table_refuses_a_range_with_no_even_k(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--family", "edge", "--kmin", "7", "--kmax", "7"
+    )
+    assert code == 2 and out == ""
+    assert "--kmin 7 --kmax 7 holds no even k" in err
+
+
 def test_table_single_instance_family(capsys):
     # one row, whether or not a k range is given
     for extra in ((), ("--kmin", "1", "--kmax", "3")):

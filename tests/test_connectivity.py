@@ -32,7 +32,7 @@ from specpairs import (
     vertex_pair,
     verify_disconnecting_set,
 )
-from specpairs.connectivity import _cut, _flow, _network
+from specpairs.connectivity import _cut, _dominating_set, _flow, _network
 from tests.conftest import random_graph
 
 
@@ -440,6 +440,135 @@ def test_menger_path_systems_meet_the_witnesses(g):
     ps = max_edge_disjoint_paths(g, s, t)
     assert ps.count == ke.value
     ps.validate(g)
+
+
+# -- edge connectivity from a dominating set ----------------------------------------
+
+
+def _edge_connectivity_over_every_t(g):
+    """edge_connectivity as the n - 1 loop over lambda(0, t) computed it."""
+    if g.n <= 1:
+        return ConnectivityResult(0, None, "edge")
+    v0 = int(g.degrees().argmin())
+    best = int(g.degrees()[v0])
+    cut = tuple(sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0)))
+    out, arcs_in = _network(g, split=False)
+    for t in range(1, g.n):
+        value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
+        if value < best:
+            best, cut = value, _cut(out, seen, split=False)
+    return ConnectivityResult(best, cut, "edge")
+
+
+def _assert_matches_every_t(g):
+    r, ref = edge_connectivity(g), _edge_connectivity_over_every_t(g)
+    assert (r.value, r.witness) == (ref.value, ref.witness)
+    return r
+
+
+def _planted_cut_graph(rng, a, b, joins):
+    """Two dense random blocks of a and b vertices joined by up to
+    ``joins`` random edges, relabelled at random."""
+    n = a + b
+    adj = np.zeros((n, n), dtype=bool)
+    for lo, hi in ((0, a), (a, n)):
+        adj[lo:hi, lo:hi] = random_graph(rng, hi - lo, 0.85).adj
+    for _ in range(joins):
+        u, v = int(rng.integers(0, a)), int(rng.integers(a, n))
+        adj[u, v] = adj[v, u] = True
+    perm = rng.permutation(n)
+    return Graph(n, adj[np.ix_(perm, perm)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.8),
+    isolated=st.booleans(),
+)
+def test_edge_connectivity_matches_the_loop_over_every_t(n, seed, p, isolated):
+    # sparse samples are often disconnected, and some have no edges
+    g = random_graph(np.random.default_rng(seed), n, p)
+    if isolated:
+        g = disjoint_union(g, empty_graph(1))
+    _assert_matches_every_t(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(min_value=3, max_value=12),
+    b=st.integers(min_value=3, max_value=12),
+    joins=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_edge_connectivity_matches_the_loop_on_planted_cuts(a, b, joins, seed):
+    # joins < delta is likely, so these mostly take the witness scan
+    rng = np.random.default_rng(seed)
+    _assert_matches_every_t(_planted_cut_graph(rng, a, b, joins))
+
+
+_PAPER_FAMILIES = (
+    [("vertex", k) for k in range(2, 11)]
+    + [("edge", k) for k in range(6, 15, 2)]
+    + [("edge-variant4", None)]
+)
+
+
+@pytest.mark.parametrize("tag,k", _PAPER_FAMILIES)
+def test_edge_connectivity_matches_the_loop_on_paper_families(tag, k):
+    build = {"vertex": vertex_pair, "edge": edge_pair}
+    fi = edge_pair_variant4() if k is None else build[tag](k)
+    for g in (fi.gamma, fi.gamma_prime):
+        _assert_matches_every_t(g)
+
+
+def test_witness_scan_finds_the_first_separated_t():
+    # K8 on 0..7 is joined by 2 edges to K6 on 8..13 and by 2 edges to K7
+    # on 14..20, so lambda = 2 < delta = 5.  D = [0, 14, 8] reaches 2 first
+    # at t = 14, whose least cut is the two edges into the K7; the first
+    # separated t in vertex order is 8, whose least cut is the two into the K6
+    adj = np.zeros((21, 21), dtype=bool)
+    for lo, hi in ((0, 8), (8, 14), (14, 21)):
+        adj[lo:hi, lo:hi] = ~np.eye(hi - lo, dtype=bool)
+    for u, v in ((1, 8), (2, 9), (3, 14), (4, 15)):
+        adj[u, v] = adj[v, u] = True
+    g = Graph(21, adj)
+    assert _dominating_set(_network(g, split=False)[0]) == [0, 14, 8]
+    r = _assert_matches_every_t(g)
+    assert r == ConnectivityResult(2, ((1, 8), (2, 9)), "edge")
+    assert verify_disconnecting_set(g, r.witness)
+
+
+def test_dominating_set_takes_the_lowest_index_on_ties():
+    # on the 8-cycle, 0 covers 7, 0, 1; then 3, 4 and 5 each cover three of
+    # 2..6 and 3 is taken; then 5 and 6 each cover both of 5, 6 and 5 is taken
+    nbrs = _network(cycle_graph(8), split=False)[0]
+    dom = _dominating_set(nbrs)
+    assert dom == [0, 3, 5]
+    covered = 0
+    for v in dom:
+        covered |= nbrs[v] | 1 << v
+    assert covered == (1 << 8) - 1
+
+
+def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
+    # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
+    # every t ran 683 flows
+    import specpairs.connectivity as conn
+
+    g = line_graph(edge_pair(8).gamma)
+    dom = _dominating_set(_network(g, split=False)[0])
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return _flow(*args, **kwargs)
+
+    monkeypatch.setattr(conn, "_flow", counted)
+    assert edge_connectivity(g).value == int(g.degrees().min())
+    assert calls == len(dom) - 1 == 32
 
 
 # -- local path systems -----------------------------------------------------------
