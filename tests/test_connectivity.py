@@ -555,8 +555,6 @@ def test_dominating_set_takes_the_lowest_index_on_ties():
 def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
     # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
     # every t ran 683 flows
-    import specpairs.connectivity as conn
-
     g = line_graph(edge_pair(8).gamma)
     dom = _dominating_set(_network(g, split=False)[0])
     calls = 0
@@ -566,7 +564,7 @@ def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
         calls += 1
         return _flow(*args, **kwargs)
 
-    monkeypatch.setattr(conn, "_flow", counted)
+    monkeypatch.setattr("specpairs.connectivity._flow", counted)
     assert edge_connectivity(g).value == int(g.degrees().min())
     assert calls == len(dom) - 1 == 32
 
