@@ -12,8 +12,14 @@ C(n, m) times the m-th power of the mean row norm, and the power-mean
 inequality bounds that mean by sqrt(S / n), where S is the sum of the
 squared entries.  So |c_{n-m}| <= C(n, m) (S / n)^(m/2), a closed form
 in integers that equals the uniform bound C(n, m) (max row norm)^m
-whenever the rows have equal norms.  Each residue comes from one of two
-routes, and a third, independent route checks them:
+whenever the rows have equal norms.  None of this needs integer
+entries, and similar matrices share their coefficients, so the bound
+may read S from any real matrix similar to A.  With ``charpoly``'s
+``weights``, positive integers w with diag(w) A symmetric (checked), A
+is similar to the symmetric diag(w)^(1/2) A diag(w)^(-1/2), whose
+(i, j) entry squared is a_ij a_ji; the budget then takes
+S' = sum_ij a_ij a_ji, which is at most S.  Each residue comes from one
+of two routes, and a third, independent route checks them:
 
 * Krylov / Berlekamp-Massey, for sparse matrices.  The sequence
   s_i = v^T A^i v mod p, for a fixed start vector v, satisfies the
@@ -60,6 +66,7 @@ comparison is decided entirely in integer arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -390,7 +397,7 @@ def _residues(a: np.ndarray, primes: list) -> list:
     return [_hessenberg_charpoly_mod(a, p) for p in primes]
 
 
-def _coefficient_bound(mat: np.ndarray) -> int:
+def _coefficient_bound(mat: np.ndarray, S: int | None = None) -> int:
     """A bound B with |c_k| <= B for all char poly coefficients.
 
     By Hadamard's inequality |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the
@@ -400,23 +407,33 @@ def _coefficient_bound(mat: np.ndarray) -> int:
     mu^2 <= S / n for the sum S of the squared entries.  So
     |c_{n-m}|^2 <= C(n, m)^2 S^m / n^m, and the isqrt of that quotient
     rounded up, plus one, exceeds |c_{n-m}|.  S is summed over the
-    distinct entries in Python ints, so nothing overflows.
+    distinct entries in Python ints, so nothing overflows.  ``charpoly``
+    passes S' of its ``weights`` in place of S (module docstring).
     """
     n = mat.shape[0]
-    values, counts = np.unique(mat, return_counts=True)
-    S = sum(v * v * c for v, c in zip(values.tolist(), counts.tolist()))
+    if S is None:
+        values, counts = np.unique(mat, return_counts=True)
+        S = sum(v * v * c for v, c in zip(values.tolist(), counts.tolist()))
     return max(
         math.isqrt(-(-math.comb(n, m) ** 2 * S**m // n**m)) + 1 for m in range(n + 1)
     )
 
 
-def charpoly(mat: np.ndarray) -> list:
+def charpoly(mat: np.ndarray, weights=None) -> list:
     """Exact char poly det(xI - mat) of an integer matrix, coefficients
     low to high, via CRT over word-size primes.
 
-    Raises ValueError when the matrix is not square, or when an entry
-    does not fit in int64: both routes and the bound read the int64
-    copy, so it must equal the input."""
+    ``weights``, when given, are positive integers w with diag(w) mat
+    symmetric.  Then mat is similar to the real symmetric matrix
+    diag(w)^(1/2) mat diag(w)^(-1/2), whose squared entries sum to
+    S' = sum_ij mat_ij mat_ji, and the prime budget takes S' in place
+    of the sum of mat's squared entries (module docstring).
+
+    Raises ValueError when the matrix is not square, when an entry
+    does not fit in int64 (both routes and the bound read the int64
+    copy, so it must equal the input), or when ``weights`` are given but
+    are not positive integers, one per row, that make diag(w) mat
+    symmetric."""
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"charpoly needs a square matrix, got shape {m.shape}")
@@ -427,9 +444,20 @@ def charpoly(mat: np.ndarray) -> list:
     if a is None or not np.array_equal(a, m):
         raise ValueError("charpoly needs integer entries that fit in int64")
     n = a.shape[0]
+    S = None
+    if weights is not None:
+        w = list(weights)
+        if len(w) != n or not all(isinstance(x, numbers.Integral) and x > 0 for x in w):
+            raise ValueError("charpoly needs one positive integer weight per row")
+        # in Python ints, so that no product overflows
+        entries = a.astype(object)
+        weighted = np.array(w, dtype=object).reshape(n, 1) * entries
+        if not np.array_equal(weighted, weighted.T):
+            raise ValueError("charpoly needs weights w with diag(w) mat symmetric")
+        S = int((entries * entries.T).sum())
     if n == 0:
         return [1]
-    primes_used = _primes_covering(2 * _coefficient_bound(a) + 1)
+    primes_used = _primes_covering(2 * _coefficient_bound(a, S) + 1)
     residues = _residues(a, primes_used)
 
     # incremental CRT, lifted to the symmetric range at the end

@@ -96,6 +96,7 @@ subsets it will agree to scan.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -405,12 +406,25 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
 def _dominating_set(nbrs) -> list:
     """A dominating set of the plain network's vertices, greedily: 0 first,
     then the vertex whose closed neighbourhood covers the most uncovered
-    vertices, the lowest index on ties."""
+    vertices, the lowest index on ties.
+
+    Lazy greedy: the heap holds (-gain, v) with gains scored at some
+    earlier pick.  Gains only fall as vertices are covered, so a stored
+    key is never above the fresh one.  A popped vertex whose fresh key
+    is still at most the heap's least key is therefore the greedy pick,
+    ties included; otherwise it goes back with its fresh key.
+    """
     n = len(nbrs)
     closed = [m | 1 << v for v, m in enumerate(nbrs)]
     dom, uncovered = [0], ((1 << n) - 1) & ~closed[0]
+    heap = [(-(c & uncovered).bit_count(), v) for v, c in enumerate(closed)]
+    heapq.heapify(heap)
     while uncovered:
-        v = max(range(n), key=lambda u: (closed[u] & uncovered).bit_count())
+        _, v = heapq.heappop(heap)
+        fresh = (-(closed[v] & uncovered).bit_count(), v)
+        if heap and fresh > heap[0]:
+            heapq.heappush(heap, fresh)
+            continue
         dom.append(v)
         uncovered &= ~closed[v]
     return dom

@@ -552,6 +552,30 @@ def test_dominating_set_takes_the_lowest_index_on_ties():
     assert covered == (1 << 8) - 1
 
 
+def _dominating_set_rescoring_every_vertex(nbrs):
+    """The greedy dominating set with every vertex rescored on each pick."""
+    n = len(nbrs)
+    closed = [m | 1 << v for v, m in enumerate(nbrs)]
+    dom, uncovered = [0], ((1 << n) - 1) & ~closed[0]
+    while uncovered:
+        v = max(range(n), key=lambda u: (closed[u] & uncovered).bit_count())
+        dom.append(v)
+        uncovered &= ~closed[v]
+    return dom
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.9),
+)
+def test_lazy_dominating_set_equals_the_rescoring_greedy(n, seed, p):
+    # sparse samples leave many ties and isolated vertices, dense ones few
+    nbrs = _network(random_graph(np.random.default_rng(seed), n, p), split=False)[0]
+    assert _dominating_set(nbrs) == _dominating_set_rescoring_every_vertex(nbrs)
+
+
 def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
     # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
     # every t ran 683 flows

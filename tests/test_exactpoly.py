@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from specpairs import (
     Graph,
     _exactpoly,
+    char_poly_adjacency,
     complete_bipartite,
     cycle_graph,
     decode_graph6,
     disjoint_union,
+    edge_pair,
     empty_graph,
     generate_family,
     laplacian_matrix,
@@ -114,6 +116,28 @@ def test_paper_families_take_as_many_primes_as_before(tag, k):
         assert _primes_covering(2 * _coefficient_bound(mat) + 1) == old
 
 
+def test_edge_14_gamma_takes_one_quotient_charpoly_of_10_primes(monkeypatch):
+    # the twin quotient has order 82, and its symmetrized budget S' takes
+    # 10 primes; the adjacency matrix itself, of order 132, takes 14
+    calls, budgets = [], []
+    real, covering = _exactpoly.charpoly, _exactpoly._primes_covering
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape[0])
+        return real(mat, *args, **kwargs)
+
+    def recording(target):
+        budgets.append(len(covering(target)))
+        return covering(target)
+
+    monkeypatch.setattr(_exactpoly, "charpoly", counting)
+    monkeypatch.setattr(_exactpoly, "_primes_covering", recording)
+    g = edge_pair(14).gamma
+    char_poly_adjacency(g)
+    assert calls == [82] and budgets == [10]
+    assert len(covering(2 * _coefficient_bound(g.adj.astype(np.int64)) + 1)) == 14
+
+
 def test_coefficient_bound_reads_only_the_order_and_the_sum_of_squares():
     # both have sum of squares 10, but row norms 3, 1 against sqrt(5), sqrt(5)
     a = np.array([[3, 0], [0, 1]], dtype=np.int64)
@@ -181,6 +205,26 @@ def test_charpoly_refuses_a_non_square_matrix(mat):
     # inside numpy's matmul
     with pytest.raises(ValueError, match="square"):
         charpoly(mat)
+
+
+@pytest.mark.parametrize(
+    "mat,weights",
+    [
+        ([[0, 1], [2, 0]], [1, 1]),
+        ([[0, 1], [2, 0]], [-2, -1]),
+        ([[0, 1], [2, 0]], [2.0, 1.0]),
+        ([[0, 1], [2, 0]], [2]),
+        ([[3, 0], [7, 3]], [1, 0]),
+        ([[3, 0], [7, 3]], [0, 1]),
+    ],
+    ids=["not-symmetric", "negative", "float", "too-few", "zero-symmetric", "zero"],
+)
+def test_charpoly_refuses_weights_that_do_not_symmetrize(mat, weights):
+    # diag(2, 1) [[0, 1], [2, 0]] is symmetric, and diag(1, 0) [[3, 0], [7, 3]]
+    # would be, but a zero weight gives no similarity
+    assert charpoly([[0, 1], [2, 0]], weights=[2, 1]) == [-2, 0, 1]
+    with pytest.raises(ValueError, match="weight"):
+        charpoly(mat, weights=weights)
 
 
 # -- the Krylov / Berlekamp-Massey route ----------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
+    Graph,
     IntPolynomial,
     RationalInterval,
     berkowitz_char_poly,
@@ -18,6 +20,7 @@ from specpairs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    generate_family,
     laplacian_matrix,
     line_graph,
     path_graph,
@@ -26,7 +29,9 @@ from specpairs import (
     two_coloring,
     zero_root_multiplicity,
 )
+from specpairs import _exactpoly
 from specpairs._exactpoly import _dot_mod, _prime
+from specpairs.spectra import _twin_classes
 from tests.conftest import random_graph
 
 
@@ -184,6 +189,37 @@ def test_spectrum_symmetry_matches_two_colorability(n, seed, p):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_spectrum_symmetry_matches_two_colorability_of_disjoint_unions(blocks):
+    # each block is a random bipartite graph, or an odd cycle with random
+    # chords; one odd block makes the whole union non-bipartite
+    g = empty_graph(0)
+    for n, seed, bipartite in blocks:
+        rng = np.random.default_rng(seed)
+        if bipartite:
+            side = rng.random(n) < 0.5
+            upper = np.triu(rng.random((n, n)) < 0.5, 1) & (side[:, None] != side)
+            block = Graph(n, upper | upper.T)
+        else:
+            block = random_graph(rng, 2 * n + 1, 0.3)
+            ring = cycle_graph(2 * n + 1)
+            block = Graph(block.n, block.adj | ring.adj)
+        g = disjoint_union(g, block)
+    assert spectrum_symmetric(char_poly_adjacency(g)) == (two_coloring(g) is not None)
+    assert (two_coloring(g) is not None) == all(b for _, _, b in blocks)
+
+
 def test_spectrum_symmetric_known():
     assert spectrum_symmetric(char_poly_adjacency(cycle_graph(6)))
     assert not spectrum_symmetric(char_poly_adjacency(cycle_graph(5)))
@@ -264,3 +300,120 @@ def test_mu2_enclosure_contains_float_eigenvalue(n, seed, p):
     iv = second_smallest_laplacian_eigenvalue(g)
     approx = float(np.linalg.eigvalsh(laplacian_matrix(g).astype(float))[1])
     assert float(iv.lo) - 1e-9 <= approx <= float(iv.hi) + 1e-9
+
+
+# -- the twin quotient ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tag,k",
+    [("vertex", k) for k in range(2, 11)]
+    + [("edge", k) for k in range(6, 15, 2)]
+    + [("edge-variant4", None), ("line-of-vertex", 3), ("line-of-edge-variant4", None)],
+)
+def test_quotient_polynomial_equals_the_direct_one_on_paper_families(tag, k):
+    fi = generate_family(tag, k)
+    for g in (fi.gamma, fi.gamma_prime):
+        direct = _exactpoly.charpoly(g.adj.astype(np.int64))
+        assert char_poly_adjacency(g).coeffs == tuple(direct)
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """A random graph on r points blown up into planted twin classes (a
+    clique or an independent set per point, of 1 to 4 vertices), with
+    isolated vertices, K2 components and a K_m added, relabelled at
+    random; order 0 to about 24."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = random_graph(rng, r, draw(st.floats(min_value=0.0, max_value=1.0)))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=r, max_size=r))
+    cliques = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    point = np.repeat(np.arange(r), sizes)
+    adj = base.adj[np.ix_(point, point)]
+    same = point[:, None] == point
+    clique = np.array(cliques, dtype=bool)[point]
+    adj = adj | (same & clique[:, None])
+    np.fill_diagonal(adj, False)
+    g = Graph(len(point), adj)
+    for extra in (
+        empty_graph(draw(st.integers(min_value=0, max_value=3))),
+        *[complete_graph(2)] * draw(st.integers(min_value=0, max_value=2)),
+        complete_graph(draw(st.integers(min_value=0, max_value=4))),
+    ):
+        g = disjoint_union(g, extra)
+    perm = rng.permutation(g.n)
+    return Graph(g.n, g.adj[np.ix_(perm, perm)])
+
+
+def _assert_twin_partition(g):
+    classes = _twin_classes(g)
+    members = [v for c, _ in classes for v in c]
+    assert sorted(members) == list(range(g.n))
+    assert [c[0] for c, _ in classes] == sorted(c[0] for c, _ in classes)
+    label = np.empty(g.n, dtype=np.intp)
+    for i, (c, _) in enumerate(classes):
+        label[c] = i
+    for c, tau in classes:
+        assert c == sorted(c) and tau in (0, 1)
+        # a clique for true twins, an independent set otherwise
+        assert g.adj[np.ix_(c, c)].sum() == tau * len(c) * (len(c) - 1)
+        # equitable: every vertex of c sees each class the same number of times
+        seen = [np.bincount(label[g.adj[v]], minlength=len(classes)) for v in c]
+        assert all(np.array_equal(x, seen[0]) for x in seen)
+    return classes
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=planted_twin_graphs())
+def test_quotient_polynomial_equals_berkowitz_on_planted_twins(g):
+    assert char_poly_adjacency(g) == berkowitz_char_poly(g.adj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=planted_twin_graphs())
+def test_twin_classes_are_an_equitable_partition_into_cliques_and_cocliques(g):
+    classes = _assert_twin_partition(g)
+    closed = g.adj | np.eye(g.n, dtype=bool)
+    # a class holds twins of its kind, and no two classes hold twins
+    for c, tau in classes:
+        rows = closed if tau else g.adj
+        assert (rows[c] == rows[c[0]]).all()
+    for (c, _), (d, _) in combinations(classes, 2):
+        u, v = c[0], d[0]
+        assert not np.array_equal(closed[u], closed[v])
+        assert not np.array_equal(g.adj[u], g.adj[v])
+
+
+@pytest.mark.parametrize(
+    "g,order",
+    [
+        (empty_graph(0), 0),
+        (empty_graph(5), 1),
+        (complete_graph(6), 1),
+        (disjoint_union(complete_graph(2), complete_graph(2)), 2),
+        (complete_bipartite(3, 4), 2),
+        (cycle_graph(5), 5),
+    ],
+    ids=["empty-0", "empty-5", "K6", "2K2", "K3,4", "C5"],
+)
+def test_twin_quotient_order_and_polynomial_on_small_graphs(g, order):
+    assert len(_assert_twin_partition(g)) == order
+    assert char_poly_adjacency(g) == berkowitz_char_poly(g.adj)
+
+
+def test_quotient_takes_a_symmetrized_budget_only_past_one_twin_pair(monkeypatch):
+    calls = []
+    real = _exactpoly.charpoly
+
+    def recording(mat, weights=None):
+        calls.append((mat.shape[0], weights))
+        return real(mat, weights=weights)
+
+    monkeypatch.setattr(_exactpoly, "charpoly", recording)
+    # one false twin pair (the ends of P3) lowers the order by one only
+    char_poly_adjacency(path_graph(3))
+    # K_3,4 has two false twin classes; K6 is one true twin class
+    char_poly_adjacency(complete_bipartite(3, 4))
+    char_poly_adjacency(complete_graph(6))
+    assert calls == [(3, None), (2, [3, 4]), (1, [6])]
