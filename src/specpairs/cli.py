@@ -51,14 +51,6 @@ from .switching import InvalidPlanError, SwitchingPlan, switch
 
 FIEDLER_TOL = Fraction(1, 1 << 20)
 
-# the linegraph check and the line-of-* families build the line graph
-# of a pair and prove its vertex connectivity by max-flow on the base
-# graph.  Measured on a 2-CPU machine, the check takes about 2 s at
-# order 1736 (edge k=12) and 5 s at order 2442 (edge k=14).  The
-# ceiling sits just below the line graph of a line graph,
-# L(L(edge_pair(6).gamma)) of order 4056, and refuses nothing smaller
-LINE_GRAPH_CEILING = 4000
-
 SIDES = ("gamma", "gamma_prime")
 
 
@@ -66,7 +58,7 @@ SIDES = ("gamma", "gamma_prime")
 
 
 class _Metrics:
-    """Spectra, kappa and kappa' of a pair, each computed once on demand.
+    """Spectra, kappa, kappa' and line graphs of a pair, each made on demand.
 
     ``base`` is the metrics of the pair a line-graph instance was built
     from; its spectra let ``pair_char_polys`` prove the line graphs'
@@ -79,6 +71,7 @@ class _Metrics:
         self._kappa = {}
         self._kappa_prime = {}
         self._spectra = None
+        self._line = None
 
     def graphs(self):
         return {"gamma": self.fi.gamma, "gamma_prime": self.fi.gamma_prime}
@@ -98,6 +91,11 @@ class _Metrics:
         if which not in self._kappa_prime:
             self._kappa_prime[which] = edge_connectivity(self.graphs()[which])
         return self._kappa_prime[which]
+
+    def line(self):
+        if self._line is None:
+            self._line = _Metrics(line_graph_family(self.fi), base=self)
+        return self._line
 
 
 def _witness_json(w):
@@ -214,32 +212,8 @@ def _fiedler(fi, metrics):
     return computed, expected, ok, detail, {"laplacian": spectra.route["laplacian"]}
 
 
-def _refuse_large_line_graph(fi, what):
-    """Refuse ``what`` before it builds the line graphs of ``fi`` past
-    ``LINE_GRAPH_CEILING``; their order is the pair's edge count."""
-    order = max(fi.gamma.num_edges, fi.gamma_prime.num_edges)
-    if order > LINE_GRAPH_CEILING:
-        degree = 2 * int(fi.gamma.degrees().max()) - 2
-        raise ValueError(
-            f"{what} would build a line graph of order {order} "
-            f"({order * degree // 2} edges) and run max-flow vertex "
-            f"connectivity on it, over the ceiling of order {LINE_GRAPH_CEILING}"
-        )
-
-
-def _build(tag, k):
-    """``generate_family(tag, k)``, refusing a line-of-* instance past
-    ``LINE_GRAPH_CEILING`` from its base pair, before its line graphs
-    are built."""
-
-    def check_base(base):
-        _refuse_large_line_graph(base, f"{tag} k={base.k}")
-
-    return generate_family(tag, k, check_base=check_base)
-
-
 def _linegraph(fi, metrics):
-    line = _Metrics(line_graph_family(fi), base=metrics)
+    line = metrics.line()
     degree = int(fi.gamma.degrees().max())
     spectra = line.spectra()
     computed = {
@@ -384,9 +358,9 @@ def cmd_generate(args) -> int:
 
 
 def _verify_report(fi, names, seed):
-    if "linegraph" in names:
-        _refuse_large_line_graph(fi, f"the linegraph check on {fi.tag} k={fi.k}")
     metrics = _Metrics(fi)
+    if "linegraph" in names:
+        metrics.line()  # refuses an oversized pair before any check runs
     checks = [_CHECKS[name](fi, metrics) for name in names]
     verdict = "PASS" if all(c["status"] != "FAIL" for c in checks) else "FAIL"
     return {
@@ -417,7 +391,7 @@ def _verify_text(report):
 
 def cmd_verify(args) -> int:
     names = _parse_checks(args.checks)
-    fi = _build(args.family, args.k)
+    fi = generate_family(args.family, args.k)
     report = _verify_report(fi, names, args.seed)
     _emit(args, report, _verify_text(report))
     return 0 if report["verdict"] == "PASS" else 1
@@ -441,7 +415,7 @@ def _table_ks(family, kmin, kmax):
 def cmd_table(args) -> int:
     ks = _table_ks(args.family, args.kmin, args.kmax)
     # every instance is built, and refused if need be, before any row
-    instances = [_build(args.family, k) for k in ks]
+    instances = [generate_family(args.family, k) for k in ks]
     rows = []
     for fi in instances:
         t0 = time.perf_counter()

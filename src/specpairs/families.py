@@ -12,7 +12,8 @@ Three switching-based families plus a line-graph derivation:
   k = 4, where the generic recipe needs blocks of negative degree; a
   12-vertex replacement block stands in for them.
 * ``line_graph_family(fi)``: line graphs of a regular pair, cospectral
-  with vertex connectivity equal to the base pair's edge connectivity.
+  with vertex connectivity equal to the base pair's edge connectivity;
+  refused, for every caller, past order ``LINE_GRAPH_CEILING``.
 
 Every instance carries the switching plan that produced it, the index
 ranges of its construction blocks (``named``), and the metrics claimed
@@ -352,6 +353,12 @@ def edge_pair_variant4() -> FamilyInstance:
 
 # -- derived line-graph pairs --------------------------------------------------
 
+# line graphs are built to prove their vertex connectivity by max-flow on
+# the base graph: on 2 CPUs the linegraph check takes about 2 s at order
+# 1736 (edge k=12) and 5 s at 2442 (edge k=14).  The ceiling sits just
+# below L(L(edge_pair(6).gamma)), of order 4056, and refuses nothing smaller
+LINE_GRAPH_CEILING = 4000
+
 
 def line_graph_family(fi: FamilyInstance) -> FamilyInstance:
     """Line graphs of a regular pair.
@@ -363,10 +370,20 @@ def line_graph_family(fi: FamilyInstance) -> FamilyInstance:
     edge star of a single vertex.  That is guaranteed whenever the edge
     connectivity is below the degree, so a claim is attached only in
     that case (when the two meet the minimum cuts can all be stars and
-    the line graph's connectivity can exceed the base value).
+    the line graph's connectivity can exceed the base value).  A pair
+    whose line graphs would pass ``LINE_GRAPH_CEILING`` vertices raises
+    ValueError before anything is built.
     """
     if not (fi.gamma.is_regular() and fi.gamma_prime.is_regular()):
         raise ValueError("line graph derivation needs a regular pair")
+    order = max(fi.gamma.num_edges, fi.gamma_prime.num_edges)
+    if order > LINE_GRAPH_CEILING:
+        edges = order * (int(fi.gamma.degrees().max()) - 1)
+        raise ValueError(
+            f"line-of-{fi.tag} k={fi.k} would build a line graph of order {order} "
+            f"({edges} edges) and run max-flow vertex connectivity on it, "
+            f"over the ceiling of order {LINE_GRAPH_CEILING}"
+        )
     d = fi.expected.degree
     kpg = fi.expected.kappa_prime_gamma
     kpgp = fi.expected.kappa_prime_gamma_prime
@@ -409,12 +426,10 @@ EVEN_K_FAMILIES = tuple(
 )
 
 
-def generate_family(tag: str, k=None, check_base=None) -> FamilyInstance:
-    """Build a family instance by tag; the dispatch used by the CLI.
-
-    ``check_base``, when given, is called with a line-of-* family's base
-    pair before its line graphs are built, and may raise to refuse them.
-    """
+def generate_family(tag: str, k=None) -> FamilyInstance:
+    """Build a family instance by tag; the dispatch used by the CLI.  A
+    line-of-* instance past ``LINE_GRAPH_CEILING`` is refused from its
+    base pair, before its line graphs are built."""
     if tag not in _REGISTRY:
         raise ValueError(
             f"unknown family {tag!r}; expected one of " + ", ".join(FAMILY_TAGS)
@@ -428,11 +443,7 @@ def generate_family(tag: str, k=None, check_base=None) -> FamilyInstance:
         raise ValueError(f"family {tag!r} needs k")
     else:
         fi = build(k)
-    if not line:
-        return fi
-    if check_base is not None:
-        check_base(fi)
-    return line_graph_family(fi)
+    return line_graph_family(fi) if line else fi
 
 
 # -- documented witnesses ------------------------------------------------------

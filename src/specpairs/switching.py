@@ -19,6 +19,8 @@ irregular graph's can change.
 from __future__ import annotations
 
 import json
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,24 +37,38 @@ __all__ = [
 ]
 
 
+def _integer(value, what):
+    """``value`` as an int, refusing bools, floats and non-numbers rather
+    than truncating them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SwitchingPlan:
     """Disjoint vertex classes on a graph of a stated order.
 
     The free set is implicit: every vertex of range(n) in no class.
     Class membership is normalized to sorted tuples; overlapping or
-    out-of-range classes are rejected at construction.
+    out-of-range classes are rejected at construction, and so are an
+    order or a member that is not an integer (bools and floats
+    included) and classes that are not iterables.
     """
 
     n: int
     classes: tuple
 
     def __init__(self, n, classes):
-        n = int(n)
+        n = _integer(n, "n")
+        if not isinstance(classes, Iterable):
+            raise ValueError(f"classes must be a list of classes, got {classes!r}")
         norm = []
         seen = set()
         for ci, cls in enumerate(classes):
-            members = sorted(int(v) for v in cls)
+            if not isinstance(cls, Iterable):
+                raise ValueError(f"class {ci} must be a list of vertices, got {cls!r}")
+            members = sorted(_integer(v, f"class {ci} member") for v in cls)
             if not members:
                 raise ValueError(f"class {ci} is empty")
             for v in members:

@@ -211,16 +211,34 @@ def test_each_line_graph_is_built_once(capsys, monkeypatch):
 
 
 def test_verify_refuses_the_line_graph_of_a_line_graph(capsys, monkeypatch):
-    def never(fi):
-        raise AssertionError("built a line graph past the ceiling")
+    built = []
 
-    monkeypatch.setattr("specpairs.cli.line_graph_family", never)
+    def counted(g):
+        built.append(g.n)
+        return line_graph(g)
+
+    monkeypatch.setattr(families, "line_graph", counted)
     code, out, err = run_cli(
         capsys, "verify", "--family", "line-of-edge", "--k", "6",
         "--checks", "linegraph",
     )
+    # the instance's own line graphs, and none of theirs
+    assert built == [52, 52]
     assert code == 2
     assert "order 4056" in err and "ceiling" in err
+
+
+def test_the_line_graph_refusal_precedes_every_check(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran a check before refusing")
+
+    monkeypatch.setattr("specpairs.cli.pair_char_polys", never)
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "line-of-edge", "--k", "6",
+        "--checks", "cospectral,linegraph",
+    )
+    assert code == 2
+    assert "line-of-line-of-edge k=6" in err and "order 4056" in err
 
 
 @pytest.mark.parametrize(
@@ -451,6 +469,30 @@ def test_switch_wants_exactly_one_graph(tmp_path, capsys):
         capsys, "switch", "--in", str(graph_file), "--plan", str(plan_file)
     )
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "order, plan",
+    [
+        (12, '{"n": 12, "classes": 3}'),
+        (12, '{"n": 12, "classes": [3]}'),
+        (12, '{"n": null, "classes": []}'),
+        (12, '{"n": 12.9, "classes": []}'),
+        (12, '{"n": 12, "classes": [[0, 1.5]]}'),
+        (1, '{"n": true, "classes": []}'),
+    ],
+)
+def test_switch_malformed_plan_is_usage_error(tmp_path, capsys, order, plan):
+    # the orders match what int() would have made of each plan's n
+    graph_file = tmp_path / "g.g6"
+    graph_file.write_text(encode_graph6(empty_graph(order)) + "\n")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan)
+    code, out, err = run_cli(
+        capsys, "switch", "--in", str(graph_file), "--plan", str(plan_file)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_switch_order_mismatch_is_usage_error(tmp_path, capsys):

@@ -23,6 +23,7 @@ from specpairs import (
     vertex_connectivity,
     vertex_pair,
 )
+from specpairs import families
 from specpairs.families import (
     SINGLE_INSTANCE_FAMILIES,
     _edge_l_matrix,
@@ -235,6 +236,26 @@ def test_line_graph_family_needs_regularity():
     )
     with pytest.raises(ValueError, match="regular"):
         line_graph_family(fi)
+
+
+def test_line_graph_family_refuses_a_pair_past_the_ceiling(monkeypatch):
+    def never(g):
+        raise AssertionError("built a line graph past the ceiling")
+
+    monkeypatch.setattr(families, "line_graph", never)
+    with pytest.raises(ValueError) as exc:
+        line_graph_family(edge_pair(18))
+    message = str(exc.value)
+    assert "line-of-edge k=18" in message and "order 4214" in message
+    assert "ceiling of order 4000" in message
+
+
+def test_the_ceiling_admits_its_own_order(monkeypatch, variant4, edge6):
+    # variant4's line graphs have order 126 and edge_pair(6)'s order 338
+    monkeypatch.setattr(families, "LINE_GRAPH_CEILING", 126)
+    assert line_graph_family(variant4).gamma.n == 126
+    with pytest.raises(ValueError, match="order 338"):
+        line_graph_family(edge6)
 
 
 # -- dispatch and witnesses --------------------------------------------------------------

@@ -53,6 +53,25 @@ def test_plan_from_json_errors():
         SwitchingPlan.from_json('[1, 2]')
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('{"n": 12, "classes": 3}', "classes must be"),
+        ('{"n": 12, "classes": [3]}', "class 0 must be"),
+        ('{"n": null, "classes": []}', "n must be an integer"),
+        ('{"n": 12.9, "classes": []}', "n must be an integer"),
+        ('{"n": 12, "classes": [[0, 1.5]]}', "member must be an integer"),
+        ('{"n": true, "classes": []}', "n must be an integer"),
+        ('{"n": 12, "classes": [[false, 1]]}', "member must be an integer"),
+    ],
+)
+def test_plan_from_json_refuses_what_is_not_an_integer_plan(text, match):
+    # a TypeError would escape the CLI's usage-error handling, and int()
+    # would truncate 12.9 and 1.5 and read true as 1
+    with pytest.raises(ValueError, match=match):
+        SwitchingPlan.from_json(text)
+
+
 # -- validation ------------------------------------------------------------------
 
 
