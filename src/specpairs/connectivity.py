@@ -70,6 +70,33 @@ the vertices they enter (split network) or the edges they run along.
 Otherwise the witness is the seed cut.  Iteration orders are fixed by
 vertex index, so results are deterministic.
 
+Most capped runs only confirm kappa(r, t) >= best, and a fan into
+vertices already linked to the root r settles that more cheaply.  Take
+a set X whose every x is r, a neighbour of r, or a vertex already shown
+to have kappa(r, x) >= best.  If t has best paths to distinct vertices
+of X that share only t, then kappa(r, t) >= best.  For let S separate r
+from t with |S| < best.  S holds neither r nor t, so some fan path
+avoids S, and its end x lies outside S on t's side.  But x is r, or
+adjacent to r, or has kappa(r, x) > |S|, so it lies on r's side.  The
+edge version has the same proof, with edge-disjoint paths whose ends
+need not differ; there X starts as {0} alone, since adjacency does not
+bound lambda.
+
+So each root r keeps X = N[r] (for the edge kind, {0}) plus every t
+already settled for it: a settled t had kappa(r, t) >= best then, and
+best only falls.  Before the run (r, t), ``_fan`` counts the
+neighbours of t in X, each the end of a one-edge path, and if they are
+fewer than best runs one flow capped at best from t into X.  On the
+split network that flow goes from node 2t+1 to the out-nodes 2x+1,
+whose one arc in each makes the ends distinct.  In stage 2 each u in
+N(v0) is its own root, and its X never takes N[v0]: a minimum
+separator may contain v0.  The line-graph route takes the neighbour
+count alone.  A certified pair's run is skipped.  That run would have
+reached its cap, and such a run changes neither best nor the witness,
+so every value and witness is the one that running every pair gives.
+For the edge kind a certified t records (best, None), as a run stopped
+at its cap does, so the witness scan reads it unchanged.
+
 Line graphs take a smaller network.  The vertices of L(G) are the edges
 of G; vertex i is edge i of ``G.edges()``.  Two non-adjacent vertices
 e = uv and f = xy of L(G) are separated by deleting a set C of other
@@ -103,7 +130,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, components, delete_edges, delete_vertices
+from .graph import Graph, _bitrows, _bits, components, delete_edges, delete_vertices
 
 __all__ = [
     "ConnectivityResult",
@@ -197,12 +224,6 @@ class PathSystem:
 # live exactly when a -> b is an arc.
 
 
-def _bitrows(rows) -> list:
-    """Each row of a boolean matrix as a Python-int bitmask."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 def _network(g: Graph, split: bool):
     """(out, arcs_in) of the split network (split=True) or the plain one."""
     if not split:
@@ -284,13 +305,6 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
     return value, fout, None
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _cut(out, seen: int, split: bool) -> tuple:
     """The witness of a maximum flow: the arcs leaving its residual reached
     set, as the vertices they enter (split) or as edges, sorted."""
@@ -359,6 +373,18 @@ def _check_endpoints(g: Graph, s: int, t: int):
 # -- global connectivity -----------------------------------------------------
 
 
+def _fan(out, arcs_in, near: int, src: int, sinks: int, best: int) -> bool:
+    """Does a fan of ``best`` paths run from the node src into the node
+    set sinks?  The fan lemma in the module docstring reads such a fan.
+
+    First counts the sinks in ``near``, the nodes that end a path of one
+    edge from src; then runs one flow from src to sinks capped at best.
+    """
+    if (near & sinks).bit_count() >= best:
+        return True
+    return _flow(out, arcs_in, src, sinks, cap=best)[0] == best
+
+
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Exact vertex connectivity with a minimum separating set.
 
@@ -370,6 +396,9 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     When g was built by ``line_graph``, the same pairs run as flows
     between edge ends on the plain network of ``g.base``, with g.base.n
     nodes instead of 2 * g.n, giving the same value and witness.
+
+    A pair whose fan into already-linked vertices proves it at least the
+    best value so far runs no flow of its own (see the module docstring).
     """
     n = g.n
     if n <= 1 or g.num_edges == n * (n - 1) // 2:
@@ -382,12 +411,18 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     adj = g.adj
     pairs = [(v0, t) for t in range(n) if t != v0 and not adj[v0, t]]
     pairs.extend((u, w) for u, w in combinations(nv0, 2) if not adj[u, w])
+    linked = {}  # root -> its X: N[root] and the t settled for it
     if g.base is not None:
         # vertex i of g is edge i of g.base
+        nbrs = _bitrows(adj)
         edges = g.base.edges()
         ends = [1 << u | 1 << v for u, v in edges]
         out, arcs_in = _network(g.base, split=False)
         for s, t in pairs:
+            x = linked.get(s, nbrs[s] | 1 << s)
+            linked[s] = x | 1 << t
+            if (nbrs[t] & x).bit_count() >= best:
+                continue
             value, _, seen = _flow(out, arcs_in, ends[s], ends[t], cap=best)
             if value < best:
                 best = value
@@ -396,6 +431,11 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(best, best_cut, "vertex", "base-graph")
     out, arcs_in = _network(g, split=True)
     for s, t in pairs:
+        # X as out-nodes 2x + 1; out[2v + 1] holds the in-nodes of N(v)
+        x = linked.get(s, out[2 * s + 1] << 1 | 1 << 2 * s + 1)
+        linked[s] = x | 1 << 2 * t + 1
+        if _fan(out, arcs_in, out[2 * t + 1] << 1, 1 << 2 * t + 1, x, best):
+            continue
         value, _, seen = _flow(out, arcs_in, 1 << 2 * s + 1, 1 << 2 * t, cap=best)
         if value < best:
             best = value
@@ -438,7 +478,9 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
     graph gives (0, ()) as in ``vertex_connectivity``.
 
     The value is min(delta, lambda(0, t) over t in a dominating set D
-    that holds 0), which takes |D| - 1 flows.  When it is below delta,
+    that holds 0).  A t in D whose fan into 0 and the t before it proves
+    lambda(0, t) at least the best value so far runs no flow of its own;
+    every other t runs one.  When the value is below delta,
     the witness is the cut of the first t in vertex order with
     lambda(0, t) equal to it, found by a scan whose runs are capped one
     above the value.
@@ -451,10 +493,15 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
     best = delta = int(degs[v0])
     out, arcs_in = _network(g, split=False)
     runs = {}  # t -> (value, seen) of its run on D
+    x = 1  # X: 0 and the t settled so far
     for t in _dominating_set(out)[1:]:
-        value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
-        runs[t] = value, seen
-        best = min(best, value)
+        if _fan(out, arcs_in, out[t], 1 << t, x, best):
+            runs[t] = best, None  # what a run stopped at cap best records
+        else:
+            value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
+            runs[t] = value, seen
+            best = min(best, value)
+        x |= 1 << t
     if best == delta:
         star = sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0))
         return ConnectivityResult(best, tuple(star), "edge")

@@ -285,21 +285,38 @@ class ComponentPartition:
     count: int
 
 
+def _bitrows(rows) -> list:
+    """Each row of a boolean matrix as a Python-int bitmask."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def components(g: Graph) -> ComponentPartition:
+    """Each component grows from its least vertex by breadth-first search,
+    one level at a time, by OR-ing the bitmask rows of the level."""
+    rows = _bitrows(g.adj)
     labels = [-1] * g.n
+    unseen = (1 << g.n) - 1
     count = 0
-    for start in range(g.n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in np.flatnonzero(g.adj[u]):
-                w = int(w)
-                if labels[w] == -1:
-                    labels[w] = count
-                    stack.append(w)
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        for v in _bits(comp):
+            labels[v] = count
+        unseen ^= comp
         count += 1
     return ComponentPartition(tuple(labels), count)
 

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _exactpoly
-from .graph import Graph
+from .graph import Graph, _bitrows
 
 __all__ = [
     "IntPolynomial",
@@ -133,12 +133,10 @@ def _twin_classes(g: Graph) -> list:
     classes of the two kinds and the remaining single vertices (tau 0)
     partition V.
     """
-    closed = np.packbits(g.adj | np.eye(g.n, dtype=bool), axis=1)
-    opened = np.packbits(g.adj, axis=1)
     by_closed, by_open = {}, {}
-    for v in range(g.n):
-        by_closed.setdefault(closed[v].tobytes(), []).append(v)
-        by_open.setdefault(opened[v].tobytes(), []).append(v)
+    for v, row in enumerate(_bitrows(g.adj)):
+        by_closed.setdefault(row | 1 << v, []).append(v)
+        by_open.setdefault(row, []).append(v)
     found = [(c, 1) for c in by_closed.values() if len(c) > 1]
     found += [(c, 0) for c in by_open.values() if len(c) > 1]
     paired = {v for c, _ in found for v in c}

@@ -32,7 +32,7 @@ from specpairs import (
     vertex_pair,
     verify_disconnecting_set,
 )
-from specpairs.connectivity import _cut, _dominating_set, _flow, _network
+from specpairs.connectivity import _cut, _dominating_set, _fan, _flow, _network
 from tests.conftest import random_graph
 
 
@@ -591,6 +591,244 @@ def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
     monkeypatch.setattr("specpairs.connectivity._flow", counted)
     assert edge_connectivity(g).value == int(g.degrees().min())
     assert calls == len(dom) - 1 == 32
+
+
+# -- fans into linked vertices ------------------------------------------------------
+
+
+def _esfahanian_hakimi_pairs(g):
+    """The pairs vertex_connectivity runs, in its order."""
+    v0 = int(g.degrees().argmin())
+    pairs = [(v0, t) for t in range(g.n) if t != v0 and not g.adj[v0, t]]
+    pairs += [(u, w) for u, w in combinations(g.neighbors(v0), 2) if not g.adj[u, w]]
+    return pairs
+
+
+def _vertex_connectivity_every_pair(g):
+    """vertex_connectivity as the loop running every pair's flow computed it."""
+    n = g.n
+    if n <= 1 or g.num_edges == n * (n - 1) // 2:
+        return ConnectivityResult(max(n - 1, 0), None, "vertex")
+    v0 = int(g.degrees().argmin())
+    best, cut = int(g.degrees()[v0]), tuple(g.neighbors(v0))
+    out, arcs_in = _network(g, split=True)
+    for s, t in _esfahanian_hakimi_pairs(g):
+        value, _, seen = _flow(out, arcs_in, 1 << 2 * s + 1, 1 << 2 * t, cap=best)
+        if value < best:
+            best, cut = value, _cut(out, seen, split=True)
+    return ConnectivityResult(best, cut, "vertex")
+
+
+def _assert_matches_every_pair(g):
+    r, ref = vertex_connectivity(g), _vertex_connectivity_every_pair(g)
+    assert (r.value, r.witness) == (ref.value, ref.witness)
+    return r
+
+
+def _planted_separator_graph(rng, a, b, hubs, reach):
+    """Two dense random blocks of a and b vertices joined only through
+    ``hubs`` vertices with up to ``reach`` edges into each block,
+    relabelled at random."""
+    n = a + b + hubs
+    adj = np.zeros((n, n), dtype=bool)
+    for lo, hi in ((0, a), (a, a + b)):
+        adj[lo:hi, lo:hi] = random_graph(rng, hi - lo, 0.85).adj
+        for h in range(a + b, n):
+            ends = rng.integers(lo, hi, size=reach)
+            adj[h, ends] = adj[ends, h] = True
+    perm = rng.permutation(n)
+    return Graph(n, adj[np.ix_(perm, perm)])
+
+
+def _sparse_block(rng, size):
+    """A sparse irregular connected graph: a Hamiltonian cycle, a random
+    matching and size // 8 chords, then edges until every degree is 3."""
+    adj = np.zeros((size, size), dtype=bool)
+    cycle, match = rng.permutation(size), rng.permutation(size)
+    half = size // 2
+    edges = list(zip(cycle, np.roll(cycle, 1))) + list(zip(match[:half], match[half:]))
+    for a, b in edges + list(rng.integers(0, size, size=(size // 8, 2))):
+        if a != b:
+            adj[a, b] = adj[b, a] = True
+    for v in range(size):
+        while adj[v].sum() < 3:
+            free = ~adj[v]
+            free[v] = False
+            u = rng.choice(np.flatnonzero(free))
+            adj[v, u] = adj[u, v] = True
+    return adj
+
+
+def _sparse_planted_graphs(seed):
+    """20 graphs shaped like the benchmark's ``analyze`` inputs: orders 130
+    to 220, every eighth one sparse block, the others two blocks joined
+    only through 1 or 2 separator vertices with 3 or 4 edges into each."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(20):
+        n = 130 + 90 * i // 19
+        if i % 8 == 0:
+            adj = _sparse_block(rng, n)
+        else:
+            cut = 1 + i % 2
+            left = (n - cut) // 2
+            adj = np.zeros((n, n), dtype=bool)
+            for lo, hi in ((0, left), (left, n - cut)):
+                adj[lo:hi, lo:hi] = _sparse_block(rng, hi - lo)
+                for s in range(n - cut, n):
+                    size = int(rng.integers(3, 5))
+                    ends = rng.choice(np.arange(lo, hi), size=size, replace=False)
+                    adj[s, ends] = adj[ends, s] = True
+        perm = rng.permutation(n)
+        graphs.append(Graph(n, adj[np.ix_(perm, perm)]))
+    return graphs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.8),
+    isolated=st.booleans(),
+)
+def test_fans_keep_the_values_and_witnesses_of_every_pair(n, seed, p, isolated):
+    # test_edge_connectivity_matches_the_loop_over_every_t covers kappa' here
+    g = random_graph(np.random.default_rng(seed), n, p)
+    if isolated:
+        g = disjoint_union(g, empty_graph(1))
+    _assert_matches_every_pair(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(min_value=3, max_value=12),
+    b=st.integers(min_value=3, max_value=12),
+    joins=st.integers(min_value=0, max_value=3),
+    hubs=st.integers(min_value=1, max_value=3),
+    reach=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fans_keep_the_values_and_witnesses_on_planted_cuts(a, b, joins, hubs, reach, seed):
+    # low-degree hubs are often v0 and in the least separator, which only
+    # the stage-2 pairs find
+    rng = np.random.default_rng(seed)
+    _assert_matches_every_pair(_planted_cut_graph(rng, a, b, joins))
+    g = _planted_separator_graph(rng, a, b, hubs, reach)
+    _assert_matches_every_pair(g)
+    _assert_matches_every_t(g)
+
+
+@pytest.mark.parametrize("tag,k", _PAPER_FAMILIES)
+def test_fans_keep_the_values_and_witnesses_on_paper_families(tag, k):
+    # kappa' of these is test_edge_connectivity_matches_the_loop_on_paper_families
+    build = {"vertex": vertex_pair, "edge": edge_pair}
+    fi = edge_pair_variant4() if k is None else build[tag](k)
+    for g in (fi.gamma, fi.gamma_prime):
+        _assert_matches_every_pair(g)
+
+
+def test_fans_keep_the_values_and_witnesses_on_sparse_planted_graphs():
+    kappas = set()
+    for g in _sparse_planted_graphs(1):
+        kappas.add(_assert_matches_every_pair(g).value)
+        _assert_matches_every_t(g)
+    assert {1, 2} <= kappas
+
+
+def test_a_separator_through_v0_is_found_in_stage_2():
+    # 0 has two neighbours in each of two K5s, on 1..5 and 6..10, so v0 = 0
+    # and {0} is the only least separator.  Stage 1 gives 2; only the pairs
+    # (u, w) of N(0) find 1, and an X for u that held N[0] would skip them
+    adj = np.zeros((11, 11), dtype=bool)
+    for lo in (1, 6):
+        adj[lo : lo + 5, lo : lo + 5] = ~np.eye(5, dtype=bool)
+    for v in (1, 2, 6, 7):
+        adj[0, v] = adj[v, 0] = True
+    g = Graph(11, adj)
+    assert vertex_connectivity(g) == ConnectivityResult(1, (0,), "vertex")
+    _assert_matches_every_pair(g)
+
+
+def test_vertex_fans_end_at_distinct_vertices():
+    # K5 on 0..4, and 4 joined to all of the K5 on 5..9: v0 = 0, delta = 4
+    # and {4} separates.  From t = 5 five paths reach 4, a neighbour of 0,
+    # each through its own neighbour of 4; as a fan they count once
+    adj = np.zeros((10, 10), dtype=bool)
+    for lo in (0, 5):
+        adj[lo : lo + 5, lo : lo + 5] = ~np.eye(5, dtype=bool)
+    adj[4, 5:] = adj[5:, 4] = True
+    g = Graph(10, adj)
+    assert vertex_connectivity(g) == ConnectivityResult(1, (4,), "vertex")
+    _assert_matches_every_pair(g)
+
+
+def test_edge_fans_start_from_0_alone():
+    # K6 on 0..5 and K6 on 6..11 joined by the edge (0, 11): lambda = 1 and
+    # D = [0, 6].  6 has five edge-disjoint paths to 11, a neighbour of 0,
+    # so an X that held N[0] would certify lambda(0, 6) >= 5
+    adj = np.zeros((12, 12), dtype=bool)
+    for lo in (0, 6):
+        adj[lo : lo + 6, lo : lo + 6] = ~np.eye(6, dtype=bool)
+    adj[0, 11] = adj[11, 0] = True
+    g = Graph(12, adj)
+    assert _dominating_set(_network(g, split=False)[0]) == [0, 6]
+    assert _assert_matches_every_t(g) == ConnectivityResult(1, ((0, 11),), "edge")
+
+
+def _fan_calls(g, connectivity):
+    """(src, best, certified) of every ``_fan`` call of connectivity(g)."""
+    calls = []
+
+    def recorded(out, arcs_in, near, src, sinks, best):
+        certified = _fan(out, arcs_in, near, src, sinks, best)
+        calls.append((src, best, certified))
+        return certified
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("specpairs.connectivity._fan", recorded)
+        connectivity(g)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.1, max_value=0.8),
+    hubs=st.integers(min_value=1, max_value=3),
+)
+def test_a_certified_pair_reaches_its_cap(n, seed, p, hubs):
+    # the fan lemma: whatever a fan certifies, the pair's own run reaches
+    rng = np.random.default_rng(seed)
+    planted = _planted_separator_graph(rng, n // 2 + 1, n - n // 2, hubs, 2)
+    for g in (random_graph(rng, n, p), planted):
+        split, plain = _network(g, split=True), _network(g, split=False)
+        pairs = _esfahanian_hakimi_pairs(g) if g.num_edges < g.n * (g.n - 1) // 2 else []
+        calls = _fan_calls(g, vertex_connectivity)
+        assert len(calls) == len(pairs)
+        for (r, t), (src, best, certified) in zip(pairs, calls):
+            assert src == 1 << 2 * t + 1
+            if certified:
+                assert _flow(*split, 1 << 2 * r + 1, 1 << 2 * t, cap=best)[0] == best
+        for src, best, certified in _fan_calls(g, edge_connectivity):
+            if certified:
+                assert _flow(*plain, 1, src, cap=best)[0] == best
+
+
+def test_kappa_of_the_edge_family_runs_few_flows(monkeypatch):
+    # edge_pair(14).gamma has n = 132 and kappa = 3; running every pair's
+    # flow took 271 flows
+    g = edge_pair(14).gamma
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return _flow(*args, **kwargs)
+
+    monkeypatch.setattr("specpairs.connectivity._flow", counted)
+    assert vertex_connectivity(g).value == 3
+    assert calls <= 10
 
 
 # -- local path systems -----------------------------------------------------------

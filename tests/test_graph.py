@@ -158,6 +158,26 @@ def test_disjoint_union_and_components():
     assert components(empty_graph(3)).count == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.2),
+)
+def test_components_agree_with_networkx(n, seed, p):
+    # sparse samples leave many components, numbered by their least vertex
+    nx = pytest.importorskip("networkx")
+    g = random_graph(np.random.default_rng(seed), n, p)
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(n))
+    blocks = sorted(nx.connected_components(h), key=min)
+    part = components(g)
+    assert part.count == len(blocks)
+    assert part.labels == tuple(
+        next(i for i, b in enumerate(blocks) if v in b) for v in range(n)
+    )
+
+
 def test_two_coloring():
     assert two_coloring(cycle_graph(5)) is None
     col = two_coloring(cycle_graph(6))
