@@ -15,9 +15,9 @@ A network is built once per graph as Python-int bitmasks, out-arcs and
 in-arcs per node, and each (s, t) run starts from a copy of the out-arc
 list.  In the residual graph ``live[a]`` is the set of heads of live
 arcs out of node a, and ``fout[a]`` the set of heads of arcs out of a
-that carry flow.  Each phase starts with one BFS, which grows one level
-at a time by OR-ing ``live`` over the frontier and keeps each level as a
-bitmask.  Paths are then traced back from the sink through the levels,
+that carry flow.  Each phase starts with ``graph._levels``, the one BFS,
+on ``live``: it keeps each level as a bitmask and ends at the sinks.
+Paths are then traced back from the sink through the levels,
 looking at node b only among the candidates ``level & (in-arcs of b |
 fout[b])`` that can hold a live arc into b, and each is augmented as
 soon as it reaches a source node.  A node with no candidate left leads
@@ -119,7 +119,8 @@ vertex, and drop closed detours.
 
 ``brute_force_connectivity`` is the independent oracle: it enumerates
 deletion subsets in increasing size, with a hard ceiling on how many
-subsets it will agree to scan.
+subsets it will agree to scan.  It shares ``_disconnects`` with the
+witness recheck ``verify_disconnecting_set``, and no flow code.
 """
 from __future__ import annotations
 
@@ -130,7 +131,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, _bitrows, _bits, components, delete_edges, delete_vertices
+from .graph import Graph, _bitrows, _bits, _levels, components
 
 __all__ = [
     "ConnectivityResult",
@@ -251,20 +252,10 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
     fout = [0] * len(out)
     value = 0
     while value != cap:
-        seen = frontier = src
-        levels = []
-        while frontier and not frontier & dst:
-            levels.append(frontier)
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= live[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-        if not frontier:
-            return value, fout, seen
-        ends = frontier & dst  # the sink nodes at the end of a shortest path
+        levels = _levels(live, src, stop=dst)
+        if not levels[-1] & dst:
+            return value, fout, sum(levels)  # the levels are disjoint
+        ends = levels.pop() & dst  # the sink nodes at the end of a shortest path
         # path[j] sits on level len(levels) - j; extend it toward src
         path = [(ends & -ends).bit_length() - 1]
         while value != cap:
@@ -535,67 +526,43 @@ def brute_force_connectivity(
         raise ValueError("budget must be nonnegative")
     if components(g).count != 1:
         return 0
-    if mode == "vertex":
-        universe = list(range(g.n))
-    else:
-        universe = g.edges()
+    universe = list(range(g.n)) if mode == "vertex" else g.edges()
     budget = min(budget, len(universe))
     total = sum(math.comb(len(universe), j) for j in range(1, budget + 1))
     if total > ceiling:
         raise ValueError(
             f"would scan {total} subsets, over the ceiling of {ceiling}"
         )
-    masks = [0] * g.n
-    for u, v in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    full = (1 << g.n) - 1
-    if mode == "vertex":
-        for size in range(1, budget + 1):
-            for combo in combinations(universe, size):
-                alive = full
-                for v in combo:
-                    alive &= ~(1 << v)
-                if not _mask_connected(masks, alive):
-                    return size
-    else:
-        for size in range(1, budget + 1):
-            for combo in combinations(universe, size):
-                m = masks.copy()
-                for u, v in combo:
-                    m[u] &= ~(1 << v)
-                    m[v] &= ~(1 << u)
-                if not _mask_connected(m, full):
-                    return size
+    rows = _bitrows(g.adj)
+    for size in range(1, budget + 1):
+        for combo in combinations(universe, size):
+            if _disconnects(rows, combo):
+                return size
     return None
 
 
-def _mask_connected(masks, alive: int) -> bool:
-    """True unless the alive vertices split into >= 2 components."""
-    if alive == 0:
-        return True
-    start = (alive & -alive).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= masks[v]
-        nxt &= alive & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == alive
+def _disconnects(rows, items) -> bool:
+    """``verify_disconnecting_set`` on the graph's bitmask rows.  A deleted
+    vertex leaves ``alive`` and a deleted edge its two rows; the graph
+    split when the search from the least alive vertex misses one."""
+    n = len(rows)
+    alive = (1 << n) - 1
+    if all(isinstance(x, (int, np.integer)) for x in items):
+        for v in items:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for n={n}")
+            alive &= ~(1 << int(v))
+    else:
+        rows = rows.copy()
+        for u, v in items:
+            if not (0 <= u < n and 0 <= v < n) or not rows[u] >> int(v) & 1:
+                raise ValueError(f"edge ({u}, {v}) not in graph")
+            rows[u] ^= 1 << int(v)
+            rows[v] ^= 1 << int(u)
+    return sum(_levels(rows, alive & -alive, alive)) != alive
 
 
 def verify_disconnecting_set(g: Graph, witness) -> bool:
     """Does deleting the witness (vertices, or edge pairs) leave >= 2
     components?  Unknown vertices or absent edges raise ValueError."""
-    items = list(witness)
-    if all(isinstance(x, (int, np.integer)) for x in items):
-        h, _ = delete_vertices(g, items)
-    else:
-        h = delete_edges(g, items)
-    return components(h).count >= 2
+    return _disconnects(_bitrows(g.adj), list(witness))

@@ -299,21 +299,39 @@ def _bits(mask):
         mask ^= low
 
 
+def _levels(rows, seed: int, alive: int = -1, stop: int = 0) -> list:
+    """Breadth-first levels, as bitmasks, from the vertex set ``seed``
+    through the vertices of ``alive``.
+
+    Level 0 is seed and level i + 1 holds the alive vertices first reached
+    from level i along ``rows`` (bit w of rows[v] is the arc v -> w).  The
+    search ends when no new vertex is reached, or after the first level
+    that meets ``stop``.  The levels are disjoint and nonempty.
+    """
+    levels = []
+    frontier, unseen = seed, alive & ~seed
+    while frontier:
+        levels.append(frontier)
+        if frontier & stop:
+            break
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & unseen
+        unseen ^= frontier
+    return levels
+
+
 def components(g: Graph) -> ComponentPartition:
-    """Each component grows from its least vertex by breadth-first search,
-    one level at a time, by OR-ing the bitmask rows of the level."""
+    """Each component is the breadth-first search from its least vertex."""
     rows = _bitrows(g.adj)
     labels = [-1] * g.n
     unseen = (1 << g.n) - 1
     count = 0
     while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= rows[v]
-            frontier = reach & ~comp
-            comp |= frontier
+        comp = sum(_levels(rows, unseen & -unseen))  # the levels are disjoint
         for v in _bits(comp):
             labels[v] = count
         unseen ^= comp
@@ -323,23 +341,22 @@ def components(g: Graph) -> ComponentPartition:
 
 def two_coloring(g: Graph):
     """A proper 2-coloring as a tuple of 0/1, or None if an odd cycle
-    exists.  Color 0 is assigned to the least vertex of each component."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in np.flatnonzero(g.adj[u]):
-                w = int(w)
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return tuple(color)
+    exists.  Color 0 is assigned to the least vertex of each component.
+
+    Each component is colored by the parity of its breadth-first levels
+    from its least vertex.  Every edge joins one level to itself or to the
+    next, and the coloring is proper unless some edge stays inside one
+    level, which closes an odd cycle through the two paths to the root.
+    """
+    rows = _bitrows(g.adj)
+    odd, unseen = 0, (1 << g.n) - 1
+    while unseen:
+        levels = _levels(rows, unseen & -unseen)
+        if any(rows[v] & level for level in levels for v in _bits(level)):
+            return None
+        odd |= sum(levels[1::2])  # the levels are disjoint
+        unseen ^= sum(levels)
+    return tuple(odd >> v & 1 for v in range(g.n))
 
 
 # -- graph6 ----------------------------------------------------------------

@@ -145,10 +145,10 @@ def _twin_classes(g: Graph) -> list:
 
 def _times_power(coeffs: list, a: int, k: int) -> list:
     """The coefficients of p(x) (x + a)^k, low to high, for p's
-    ``coeffs``."""
-    for _ in range(k):
-        coeffs = [a * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+    ``coeffs``: one product with (x + a)^k = sum_j C(k, j) a^(k - j) x^j."""
+    power = [math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
+    product = np.convolve(np.array(coeffs, dtype=object), np.array(power, dtype=object))
+    return product.tolist()
 
 
 def char_poly_adjacency(g: Graph) -> IntPolynomial:

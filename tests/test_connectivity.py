@@ -971,3 +971,65 @@ def test_verify_disconnecting_set():
         verify_disconnecting_set(g, (99,))
     with pytest.raises(ValueError):
         verify_disconnecting_set(g, ((0, 2),))  # not an edge
+
+
+def test_verify_disconnecting_set_edge_cases():
+    g = cycle_graph(6)
+    assert not verify_disconnecting_set(g, ())
+    assert verify_disconnecting_set(disjoint_union(g, path_graph(2)), ())
+    assert verify_disconnecting_set(g, [np.int64(0), np.int64(3)])
+    assert verify_disconnecting_set(g, ((1, 0), (np.int64(3), np.int64(2))))
+    assert verify_disconnecting_set(g, (0, 3, 3))  # a repeated vertex is one
+    assert not verify_disconnecting_set(g, tuple(range(6)))  # nothing left
+    assert not verify_disconnecting_set(g, tuple(range(5)))  # one vertex left
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=6"):
+        verify_disconnecting_set(g, (0, -1))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) not in graph"):
+        verify_disconnecting_set(g, ((0, 1), (2, 3), (0, 1)))  # repeated
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) not in graph"):
+        verify_disconnecting_set(g, ((0, 1), (1, 0)))  # repeated, reversed
+    with pytest.raises(ValueError, match=r"edge \(2, 2\) not in graph"):
+        verify_disconnecting_set(g, ((2, 2),))
+    with pytest.raises(ValueError, match=r"edge \(5, 6\) not in graph"):
+        verify_disconnecting_set(g, ((5, 6),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.05, max_value=0.6),
+)
+def test_verify_disconnecting_set_agrees_with_networkx(n, seed, p):
+    # random vertex and edge subsets, the empty one included, deleted in
+    # networkx; an edge named twice or absent raises
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    whole = nx.Graph(g.edges())
+    whole.add_nodes_from(range(n))
+
+    def splits(h):
+        return nx.number_connected_components(h) >= 2
+
+    assert verify_disconnecting_set(g, ()) == splits(whole)
+    for _ in range(4):
+        vertices = [int(v) for v in rng.choice(n, int(rng.integers(n + 1)), False)]
+        h = whole.copy()
+        h.remove_nodes_from(vertices)
+        assert verify_disconnecting_set(g, vertices) == splits(h)
+    es = g.edges()
+    for _ in range(4):
+        size = int(rng.integers(len(es) + 1))
+        picked = [es[i] for i in rng.choice(len(es), size, False)]
+        h = whole.copy()
+        h.remove_edges_from(picked)
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picked]
+        assert verify_disconnecting_set(g, flipped) == splits(h)
+        if picked:
+            with pytest.raises(ValueError, match="not in graph"):
+                verify_disconnecting_set(g, picked + [picked[0]])
+    absent = [(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
+    if absent:
+        with pytest.raises(ValueError, match="not in graph"):
+            verify_disconnecting_set(g, es + [absent[0]])

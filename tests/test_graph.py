@@ -21,6 +21,7 @@ from specpairs import (
     path_graph,
     two_coloring,
 )
+from specpairs.graph import _bitrows, _levels
 from tests.conftest import random_graph
 
 
@@ -191,6 +192,93 @@ def test_two_coloring():
     # bipartite check is per component
     assert two_coloring(disjoint_union(path_graph(2), cycle_graph(4))) is not None
     assert two_coloring(disjoint_union(path_graph(2), cycle_graph(3))) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    bipartite=st.booleans(),
+)
+def test_two_coloring_agrees_with_networkx(n, seed, p, bipartite):
+    # half the samples keep only the edges across a random bipartition,
+    # so both answers occur; sparse samples leave many components
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    if bipartite:
+        side = rng.random(n) < 0.5
+        g = Graph(n, g.adj & (side[:, None] != side[None, :]))
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(n))
+    col = two_coloring(g)
+    assert (col is None) == (not nx.is_bipartite(h))
+    if col is not None:
+        assert len(col) == n and set(col) <= {0, 1}
+        assert all(col[u] != col[v] for u, v in g.edges())
+        assert all(col[min(b)] == 0 for b in nx.connected_components(h))
+
+
+def _mask(vertices):
+    return sum(1 << v for v in set(vertices))
+
+
+def test_levels_small_cases():
+    rows = _bitrows(path_graph(5).adj)  # 0-1-2-3-4
+    assert _levels(rows, 0b1) == [0b1, 0b10, 0b100, 0b1000, 0b10000]
+    assert _levels(rows, 0b100) == [0b100, 0b1010, 0b10001]
+    # vertex 2 is not alive, so the search from 0 ends at 1
+    assert _levels(rows, 0b1, alive=0b11011) == [0b1, 0b10]
+    # the level that meets stop is the last one
+    assert _levels(rows, 0b1, stop=0b11000) == [0b1, 0b10, 0b100, 0b1000]
+    assert _levels(rows, 0b1, stop=0b1) == [0b1]
+    assert _levels(rows, 0) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.floats(min_value=0.0, max_value=0.3),
+)
+def test_levels_are_the_breadth_first_layers_inside_alive(n, seed, p):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    alive = {v for v in range(n) if rng.random() < 0.8}
+    seed_set = {v for v in alive if rng.random() < 0.1} | {int(rng.integers(n))}
+    alive |= seed_set
+    stop = {v for v in range(n) if rng.random() < 0.05}
+    rows = _bitrows(g.adj)
+    levels = _levels(rows, _mask(seed_set), _mask(alive), _mask(stop))
+
+    whole = nx.Graph(g.edges())
+    whole.add_nodes_from(range(n))
+    h = whole.subgraph(alive)
+    dist = nx.multi_source_dijkstra_path_length(h, seed_set)
+    layers = [
+        _mask(v for v, d in dist.items() if d == i)
+        for i in range(max(dist.values()) + 1)
+    ]
+    meets = [i for i, layer in enumerate(layers) if layer & _mask(stop)]
+    assert levels == (layers[: meets[0] + 1] if meets else layers)
+
+    # the levels are nonempty and disjoint
+    union = 0
+    for level in levels:
+        assert level and not level & union
+        union |= level
+    # they stop at the first level that meets stop, else fill the component
+    assert all(not level & _mask(stop) for level in levels[:-1])
+    if not meets:
+        assert union == _mask(set().union(
+            *(nx.node_connected_component(h, v) for v in seed_set)
+        ))
+    # alive defaults to every vertex
+    assert sum(_levels(rows, _mask(seed_set))) == _mask(set().union(
+        *(nx.node_connected_component(whole, v) for v in seed_set)
+    ))
 
 
 # -- graph6 -----------------------------------------------------------------------

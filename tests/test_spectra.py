@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
@@ -31,7 +31,7 @@ from specpairs import (
 )
 from specpairs import _exactpoly
 from specpairs._exactpoly import _dot_mod, _prime
-from specpairs.spectra import _twin_classes
+from specpairs.spectra import _times_power, _twin_classes
 from tests.conftest import random_graph
 
 
@@ -417,3 +417,33 @@ def test_quotient_takes_a_symmetrized_budget_only_past_one_twin_pair(monkeypatch
     char_poly_adjacency(complete_bipartite(3, 4))
     char_poly_adjacency(complete_graph(6))
     assert calls == [(3, None), (2, [3, 4]), (1, [6])]
+
+
+def _times_power_one_factor_at_a_time(coeffs, a, k):
+    # one linear factor per pass, the reference for the binomial product
+    for _ in range(k):
+        coeffs = [a * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12),
+    a=st.integers(min_value=-3, max_value=3),
+    k=st.integers(min_value=0, max_value=60),
+)
+@example(coeffs=[1, 0, -4], a=2, k=0)
+@example(coeffs=[1, 0, -4], a=0, k=5)
+@example(coeffs=[3], a=0, k=0)
+def test_times_power_matches_one_factor_at_a_time(coeffs, a, k):
+    got = _times_power(coeffs, a, k)
+    assert got == _times_power_one_factor_at_a_time(coeffs, a, k)
+    assert all(type(c) is int for c in got)
+
+
+def test_times_power_at_the_sachs_size():
+    # L(edge_pair(6).gamma): degree 52 times (x + 2)^286
+    p = char_poly_adjacency(generate_family("edge", 6).gamma).coeffs
+    assert _times_power(list(p), 2, 286) == _times_power_one_factor_at_a_time(
+        list(p), 2, 286
+    )
