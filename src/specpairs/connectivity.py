@@ -11,24 +11,25 @@ each a bitmask.  One flow routine serves two networks:
   An s-t run goes from node 2s+1 to node 2t.
 * edge: node v is vertex v, with one arc each way along every edge.
 
-A network is built once per graph as Python-int bitmasks, out-arcs and
-in-arcs per node, and each (s, t) run starts from a copy of the out-arc
-list.  In the residual graph ``live[a]`` is the set of heads of live
-arcs out of node a, and ``fout[a]`` the set of heads of arcs out of a
-that carry flow.  Each phase starts with ``graph._levels``, the one BFS,
-on ``live``: it keeps each level as a bitmask and ends at the sinks.
-Paths are then traced back from the sink through the levels,
-looking at node b only among the candidates ``level & (in-arcs of b |
-fout[b])`` that can hold a live arc into b, and each is augmented as
-soon as it reaches a source node.  A node with no candidate left leads
-nowhere for the rest of the phase, since augmenting only adds arcs that
-run back a level, so it is dropped from its level.  A trace starts from
-a sink node on the BFS's last level, and the phase ends when no such
-sink node has a candidate left: every shortest path is blocked, and the
-next BFS finds longer ones.  A phase augments at least one path,
-and Even and Tarjan showed that a unit-capacity network needs only
-O(sqrt(n)) phases, so a run pays far fewer BFS passes than units of
-flow.
+Both are Python-int bitmasks, out-arcs and in-arcs per node.  The plain
+network is the graph's own packed rows, ``g.rows``, for out-arcs and
+in-arcs alike; only the split network is built, once per graph.  Each
+(s, t) run starts from a copy of the out-arc list.  In the residual
+graph ``live[a]`` is the set of heads of live arcs out of node a, and
+``fout[a]`` the set of heads of arcs out of a that carry flow.  Each
+phase starts with ``graph._levels``, the one BFS, on ``live``: it keeps
+each level as a bitmask and ends at the sinks.  Paths are then traced
+back from the sink through the levels, looking at node b only among the
+candidates ``level & (in-arcs of b | fout[b])`` that can hold a live arc
+into b, and each is augmented as soon as it reaches a source node.  A
+node with no candidate left leads nowhere for the rest of the phase,
+since augmenting only adds arcs that run back a level, so it is dropped
+from its level.  A trace starts from a sink node on the BFS's last
+level, and the phase ends when no such sink node has a candidate left:
+every shortest path is blocked, and the next BFS finds longer ones.  A
+phase augments at least one path, and Even and Tarjan showed that a
+unit-capacity network needs only O(sqrt(n)) phases, so a run pays far
+fewer BFS passes than units of flow.
 
 Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 
@@ -126,12 +127,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, _bitrows, _bits, _levels, components
+from .graph import Graph, _bitrows, _bits, _integer, _levels, components
 
 __all__ = [
     "ConnectivityResult",
@@ -225,11 +227,9 @@ class PathSystem:
 # live exactly when a -> b is an arc.
 
 
-def _network(g: Graph, split: bool):
-    """(out, arcs_in) of the split network (split=True) or the plain one."""
-    if not split:
-        nbrs = _bitrows(g.adj)
-        return nbrs, nbrs
+def _network(g: Graph):
+    """(out, arcs_in) of the split network.  The plain network is
+    (g.rows, g.rows)."""
     wide = np.zeros((g.n, 2 * g.n), dtype=bool)
     wide[:, 0::2] = g.adj
     into = _bitrows(wide)  # into[u]: the in-nodes 2v of u's neighbors
@@ -248,7 +248,7 @@ def _flow(out, arcs_in, src: int, dst: int, cap=None):
     of a that carry flow.  When the flow stops below cap it is maximum and
     seen is the set of nodes its final BFS reached; otherwise seen is None.
     """
-    live = out.copy()
+    live = list(out)
     fout = [0] * len(out)
     value = 0
     while value != cap:
@@ -337,7 +337,7 @@ def _paths(fout, src: int, dst: int, value: int, split: bool) -> tuple:
 def _disjoint_paths(g: Graph, s: int, t: int, split: bool) -> PathSystem:
     _check_endpoints(g, s, t)
     src, dst = (2 * s + 1, 2 * t) if split else (s, t)
-    out, arcs_in = _network(g, split)
+    out, arcs_in = _network(g) if split else (g.rows, g.rows)
     value, fout, _ = _flow(out, arcs_in, 1 << src, 1 << dst)
     paths = _paths(fout, src, dst, value, split)
     return PathSystem(s, t, "vertex" if split else "edge", paths)
@@ -405,10 +405,10 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     linked = {}  # root -> its X: N[root] and the t settled for it
     if g.base is not None:
         # vertex i of g is edge i of g.base
-        nbrs = _bitrows(adj)
+        nbrs = g.rows
         edges = g.base.edges()
         ends = [1 << u | 1 << v for u, v in edges]
-        out, arcs_in = _network(g.base, split=False)
+        out = arcs_in = g.base.rows
         for s, t in pairs:
             x = linked.get(s, nbrs[s] | 1 << s)
             linked[s] = x | 1 << t
@@ -420,7 +420,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
                 cut = set(_cut(out, seen, split=False))
                 best_cut = tuple(i for i, e in enumerate(edges) if e in cut)
         return ConnectivityResult(best, best_cut, "vertex", "base-graph")
-    out, arcs_in = _network(g, split=True)
+    out, arcs_in = _network(g)
     for s, t in pairs:
         # X as out-nodes 2x + 1; out[2v + 1] holds the in-nodes of N(v)
         x = linked.get(s, out[2 * s + 1] << 1 | 1 << 2 * s + 1)
@@ -482,7 +482,7 @@ def edge_connectivity(g: Graph) -> ConnectivityResult:
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = delta = int(degs[v0])
-    out, arcs_in = _network(g, split=False)
+    out = arcs_in = g.rows
     runs = {}  # t -> (value, seen) of its run on D
     x = 1  # X: 0 and the t settled so far
     for t in _dominating_set(out)[1:]:
@@ -533,36 +533,55 @@ def brute_force_connectivity(
         raise ValueError(
             f"would scan {total} subsets, over the ceiling of {ceiling}"
         )
-    rows = _bitrows(g.adj)
     for size in range(1, budget + 1):
         for combo in combinations(universe, size):
-            if _disconnects(rows, combo):
+            if _disconnects(g.rows, combo):
                 return size
     return None
 
 
 def _disconnects(rows, items) -> bool:
-    """``verify_disconnecting_set`` on the graph's bitmask rows.  A deleted
+    """``verify_disconnecting_set`` on the graph's bitmask rows, for items
+    that are all ints (vertices) or all pairs of ints (edges).  A deleted
     vertex leaves ``alive`` and a deleted edge its two rows; the graph
     split when the search from the least alive vertex misses one."""
     n = len(rows)
     alive = (1 << n) - 1
-    if all(isinstance(x, (int, np.integer)) for x in items):
+    if not items or isinstance(items[0], int):
         for v in items:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range for n={n}")
-            alive &= ~(1 << int(v))
+            alive &= ~(1 << v)
     else:
-        rows = rows.copy()
+        rows = list(rows)
         for u, v in items:
-            if not (0 <= u < n and 0 <= v < n) or not rows[u] >> int(v) & 1:
+            if not (0 <= u < n and 0 <= v < n) or not rows[u] >> v & 1:
                 raise ValueError(f"edge ({u}, {v}) not in graph")
-            rows[u] ^= 1 << int(v)
-            rows[v] ^= 1 << int(u)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
     return sum(_levels(rows, alive & -alive, alive)) != alive
+
+
+def _witness_item(x):
+    """A witness item as a vertex (an int) or an edge (a pair of ints)."""
+    if isinstance(x, numbers.Integral):
+        return _integer(x, "witness vertex")
+    try:
+        u, v = x
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"witness item {x!r} is neither a vertex nor an edge pair"
+        ) from None
+    return _integer(u, f"edge {x!r} end"), _integer(v, f"edge {x!r} end")
 
 
 def verify_disconnecting_set(g: Graph, witness) -> bool:
     """Does deleting the witness (vertices, or edge pairs) leave >= 2
-    components?  Unknown vertices or absent edges raise ValueError."""
-    return _disconnects(_bitrows(g.adj), list(witness))
+    components?  Unknown vertices or absent edges raise ValueError, and
+    so do a witness that mixes vertices and edges and an item that is
+    neither an integer nor a pair of integers."""
+    items = [_witness_item(x) for x in witness]
+    for x in items:
+        if type(x) is not type(items[0]):
+            raise ValueError(f"witness mixes vertices and edges at {x!r}")
+    return _disconnects(g.rows, items)

@@ -9,7 +9,9 @@ operations return new graphs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,13 +45,22 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _integer(value, what):
+    """``value`` as an int, refusing bools, floats and non-numbers rather
+    than truncating them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected simple graph stored as a dense boolean adjacency matrix.
 
-    The matrix is validated (square, entries 0 or 1, symmetric, zero
-    diagonal), defensively copied, and marked read-only, so a ``Graph`` can
-    never drift out of its invariants after construction.
+    The order must be an integer and is stored as an int.  The matrix is
+    validated (square, entries 0 or 1, symmetric, zero diagonal),
+    defensively copied, and marked read-only, so a ``Graph`` can never
+    drift out of its invariants after construction.
 
     ``base`` is set only by ``line_graph``, to the graph this is the line
     graph of; it is None otherwise, and equality and hashing ignore it.
@@ -60,6 +71,7 @@ class Graph:
     base: Graph | None = field(default=None, init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         a = np.asarray(self.adj)
         if a.shape != (self.n, self.n):
             raise ValueError(
@@ -105,6 +117,13 @@ class Graph:
         return cls(n, a)
 
     # -- queries ---------------------------------------------------------
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Each adjacency row as a Python-int bitmask: bit w of rows[v] is
+        the edge vw.  Packed on first read and kept; every bitmask
+        traversal of the graph reads these."""
+        return _bitrows(self.adj)
 
     @property
     def num_edges(self) -> int:
@@ -285,10 +304,10 @@ class ComponentPartition:
     count: int
 
 
-def _bitrows(rows) -> list:
+def _bitrows(rows) -> tuple:
     """Each row of a boolean matrix as a Python-int bitmask."""
     packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
 def _bits(mask):
@@ -326,7 +345,7 @@ def _levels(rows, seed: int, alive: int = -1, stop: int = 0) -> list:
 
 def components(g: Graph) -> ComponentPartition:
     """Each component is the breadth-first search from its least vertex."""
-    rows = _bitrows(g.adj)
+    rows = g.rows
     labels = [-1] * g.n
     unseen = (1 << g.n) - 1
     count = 0
@@ -348,7 +367,7 @@ def two_coloring(g: Graph):
     next, and the coloring is proper unless some edge stays inside one
     level, which closes an odd cycle through the two paths to the root.
     """
-    rows = _bitrows(g.adj)
+    rows = g.rows
     odd, unseen = 0, (1 << g.n) - 1
     while unseen:
         levels = _levels(rows, unseen & -unseen)

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _exactpoly
-from .graph import Graph, _bitrows
+from .graph import Graph
 
 __all__ = [
     "IntPolynomial",
@@ -134,7 +134,7 @@ def _twin_classes(g: Graph) -> list:
     partition V.
     """
     by_closed, by_open = {}, {}
-    for v, row in enumerate(_bitrows(g.adj)):
+    for v, row in enumerate(g.rows):
         by_closed.setdefault(row | 1 << v, []).append(v)
         by_open.setdefault(row, []).append(v)
     found = [(c, 1) for c in by_closed.values() if len(c) > 1]

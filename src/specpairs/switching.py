@@ -19,13 +19,12 @@ irregular graph's can change.
 from __future__ import annotations
 
 import json
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _integer
 
 __all__ = [
     "SwitchingPlan",
@@ -35,14 +34,6 @@ __all__ = [
     "validate_plan",
     "switch",
 ]
-
-
-def _integer(value, what):
-    """``value`` as an int, refusing bools, floats and non-numbers rather
-    than truncating them."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

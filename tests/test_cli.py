@@ -20,6 +20,7 @@ from specpairs import (
     vertex_pair,
 )
 from specpairs import connectivity, families, spectra
+from specpairs import graph as graph_module
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
 
@@ -365,6 +366,27 @@ def test_analyze_file(tmp_path, capsys, schema):
     assert first["bipartite"] == {
         "by_coloring": False, "by_spectrum": False, "consistent": True,
     }
+
+
+def test_analyze_packs_each_graph_at_most_twice(tmp_path, capsys, monkeypatch, vertex3, edge6):
+    # one packing for the graph's rows, one for its split flow network
+    graphs = [vertex3.gamma, vertex3.gamma_prime, edge6.gamma]
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    calls = 0
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return packed(rows)
+
+    packed = graph_module._bitrows
+    for module in (graph_module, connectivity, spectra):
+        if hasattr(module, "_bitrows"):
+            monkeypatch.setattr(module, "_bitrows", counted)
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path), "--json")
+    assert code == 0 and len(json.loads(out)["graphs"]) == len(graphs)
+    assert calls <= 2 * len(graphs)
 
 
 def test_analyze_stdin(capsys, monkeypatch):

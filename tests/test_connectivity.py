@@ -242,7 +242,7 @@ def test_capped_flows_agree_with_networkx(n, seed, p, cap):
     g = random_graph(np.random.default_rng(seed), n, p)
     h = nx.Graph(g.edges())
     h.add_nodes_from(range(n))
-    split, plain = _network(g, split=True), _network(g, split=False)
+    split, plain = _network(g), (g.rows, g.rows)
     for s, t in ((0, n - 1), (1, n // 2), (n // 3, 2)):
         if s == t:
             continue
@@ -283,7 +283,7 @@ def test_set_flows_agree_with_contracted_flows(n, seed, p, cap):
                 else:
                     contracted.add_edge(x, y, capacity=1)
     local = nx.maximum_flow_value(contracted, "S", "T")
-    out, arcs_in = _network(g, split=False)
+    out = arcs_in = g.rows
     value, _, seen = _flow(out, arcs_in, 1 << a | 1 << b, 1 << c | 1 << d, cap=cap)
     assert value == (local if cap is None else min(cap, local))
     if cap is not None and local >= cap:
@@ -452,7 +452,7 @@ def _edge_connectivity_over_every_t(g):
     v0 = int(g.degrees().argmin())
     best = int(g.degrees()[v0])
     cut = tuple(sorted((min(v0, u), max(v0, u)) for u in g.neighbors(v0)))
-    out, arcs_in = _network(g, split=False)
+    out = arcs_in = g.rows
     for t in range(1, g.n):
         value, _, seen = _flow(out, arcs_in, 1, 1 << t, cap=best)
         if value < best:
@@ -534,7 +534,7 @@ def test_witness_scan_finds_the_first_separated_t():
     for u, v in ((1, 8), (2, 9), (3, 14), (4, 15)):
         adj[u, v] = adj[v, u] = True
     g = Graph(21, adj)
-    assert _dominating_set(_network(g, split=False)[0]) == [0, 14, 8]
+    assert _dominating_set(g.rows) == [0, 14, 8]
     r = _assert_matches_every_t(g)
     assert r == ConnectivityResult(2, ((1, 8), (2, 9)), "edge")
     assert verify_disconnecting_set(g, r.witness)
@@ -543,7 +543,7 @@ def test_witness_scan_finds_the_first_separated_t():
 def test_dominating_set_takes_the_lowest_index_on_ties():
     # on the 8-cycle, 0 covers 7, 0, 1; then 3, 4 and 5 each cover three of
     # 2..6 and 3 is taken; then 5 and 6 each cover both of 5, 6 and 5 is taken
-    nbrs = _network(cycle_graph(8), split=False)[0]
+    nbrs = cycle_graph(8).rows
     dom = _dominating_set(nbrs)
     assert dom == [0, 3, 5]
     covered = 0
@@ -572,7 +572,7 @@ def _dominating_set_rescoring_every_vertex(nbrs):
 )
 def test_lazy_dominating_set_equals_the_rescoring_greedy(n, seed, p):
     # sparse samples leave many ties and isolated vertices, dense ones few
-    nbrs = _network(random_graph(np.random.default_rng(seed), n, p), split=False)[0]
+    nbrs = random_graph(np.random.default_rng(seed), n, p).rows
     assert _dominating_set(nbrs) == _dominating_set_rescoring_every_vertex(nbrs)
 
 
@@ -580,7 +580,7 @@ def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
     # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
     # every t ran 683 flows
     g = line_graph(edge_pair(8).gamma)
-    dom = _dominating_set(_network(g, split=False)[0])
+    dom = _dominating_set(g.rows)
     calls = 0
 
     def counted(*args, **kwargs):
@@ -611,7 +611,7 @@ def _vertex_connectivity_every_pair(g):
         return ConnectivityResult(max(n - 1, 0), None, "vertex")
     v0 = int(g.degrees().argmin())
     best, cut = int(g.degrees()[v0]), tuple(g.neighbors(v0))
-    out, arcs_in = _network(g, split=True)
+    out, arcs_in = _network(g)
     for s, t in _esfahanian_hakimi_pairs(g):
         value, _, seen = _flow(out, arcs_in, 1 << 2 * s + 1, 1 << 2 * t, cap=best)
         if value < best:
@@ -771,7 +771,7 @@ def test_edge_fans_start_from_0_alone():
         adj[lo : lo + 6, lo : lo + 6] = ~np.eye(6, dtype=bool)
     adj[0, 11] = adj[11, 0] = True
     g = Graph(12, adj)
-    assert _dominating_set(_network(g, split=False)[0]) == [0, 6]
+    assert _dominating_set(g.rows) == [0, 6]
     assert _assert_matches_every_t(g) == ConnectivityResult(1, ((0, 11),), "edge")
 
 
@@ -802,7 +802,7 @@ def test_a_certified_pair_reaches_its_cap(n, seed, p, hubs):
     rng = np.random.default_rng(seed)
     planted = _planted_separator_graph(rng, n // 2 + 1, n - n // 2, hubs, 2)
     for g in (random_graph(rng, n, p), planted):
-        split, plain = _network(g, split=True), _network(g, split=False)
+        split, plain = _network(g), (g.rows, g.rows)
         pairs = _esfahanian_hakimi_pairs(g) if g.num_edges < g.n * (g.n - 1) // 2 else []
         calls = _fan_calls(g, vertex_connectivity)
         assert len(calls) == len(pairs)
@@ -992,6 +992,19 @@ def test_verify_disconnecting_set_edge_cases():
         verify_disconnecting_set(g, ((2, 2),))
     with pytest.raises(ValueError, match=r"edge \(5, 6\) not in graph"):
         verify_disconnecting_set(g, ((5, 6),))
+    # a malformed witness raises ValueError naming the bad item
+    with pytest.raises(ValueError, match="witness mixes vertices and edges at 3"):
+        verify_disconnecting_set(g, [(0, 1), 3])
+    with pytest.raises(ValueError, match=r"mixes vertices and edges at \(0, 1\)"):
+        verify_disconnecting_set(g, [3, (0, 1)])
+    with pytest.raises(ValueError, match="witness item 0.0 is neither"):
+        verify_disconnecting_set(g, [0.0, 3.0])
+    with pytest.raises(ValueError, match="witness vertex must be an integer, got True"):
+        verify_disconnecting_set(g, [True, 3])
+    with pytest.raises(ValueError, match=r"edge \(0, 1.0\) end must be an integer"):
+        verify_disconnecting_set(g, [(0, 1.0), (3, 4)])
+    with pytest.raises(ValueError, match=r"witness item \(0, 1, 2\) is neither"):
+        verify_disconnecting_set(g, [(0, 1, 2)])
 
 
 @settings(max_examples=80, deadline=None)

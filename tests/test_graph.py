@@ -37,6 +37,17 @@ def test_adjacency_is_validated():
         Graph(3, np.zeros((2, 3), dtype=bool))  # not square
     with pytest.raises(ValueError):
         Graph(3, np.zeros((2, 2), dtype=bool))  # n mismatch
+    # the order is an integer, never a float, bool or string
+    with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+        Graph(2.0, np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="n must be an integer, got True"):
+        Graph(True, np.zeros((1, 1), dtype=bool))
+    with pytest.raises(ValueError, match="n must be an integer, got '2'"):
+        Graph("2", np.zeros((2, 2), dtype=bool))
+    # a numpy integer order is stored as an int, so the traversals take it
+    g = Graph(np.int64(70), cycle_graph(70).adj)
+    assert type(g.n) is int and g == cycle_graph(70)
+    assert components(g).count == 1
 
 
 def test_adjacency_entries_must_be_zero_or_one():
@@ -57,6 +68,12 @@ def test_adjacency_is_copied_and_frozen():
     assert g.num_edges == 0
     with pytest.raises(ValueError):
         g.adj[0, 1] = True
+    # the packed rows are an immutable tuple, packed once and then kept
+    line = line_graph(complete_graph(5))
+    for h in (g, empty_graph(0), complete_graph(70), line, line.base):
+        rows = h.rows
+        assert isinstance(rows, tuple) and rows == _bitrows(h.adj)
+        assert h.rows is rows
 
 
 def test_from_edges_and_accessors():
@@ -82,6 +99,11 @@ def test_equality_and_hash():
     h = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert g == h
     assert hash(g) == hash(h)
+    assert g != path_graph(5)
+    # reading the packed rows changes neither equality nor the hash
+    before = hash(g)
+    assert g.rows == h.rows
+    assert g == h and hash(g) == before == hash(h)
     assert g != path_graph(5)
 
 
@@ -225,7 +247,7 @@ def _mask(vertices):
 
 
 def test_levels_small_cases():
-    rows = _bitrows(path_graph(5).adj)  # 0-1-2-3-4
+    rows = path_graph(5).rows  # 0-1-2-3-4
     assert _levels(rows, 0b1) == [0b1, 0b10, 0b100, 0b1000, 0b10000]
     assert _levels(rows, 0b100) == [0b100, 0b1010, 0b10001]
     # vertex 2 is not alive, so the search from 0 ends at 1
@@ -250,7 +272,7 @@ def test_levels_are_the_breadth_first_layers_inside_alive(n, seed, p):
     seed_set = {v for v in alive if rng.random() < 0.1} | {int(rng.integers(n))}
     alive |= seed_set
     stop = {v for v in range(n) if rng.random() < 0.05}
-    rows = _bitrows(g.adj)
+    rows = g.rows
     levels = _levels(rows, _mask(seed_set), _mask(alive), _mask(stop))
 
     whole = nx.Graph(g.edges())
