@@ -2,24 +2,46 @@
 
 ``charpoly`` reduces det(xI - A) modulo each of several word-size primes
 and combines the residues by CRT.  The prime budget covers a rigorous
-coefficient bound, so the result is exact, not heuristic: c_{n-m} is
-(-1)^m times the sum of the m x m principal minors, Hadamard's
-inequality bounds each minor by the product of its rows' norms, and a
-row of a minor is no longer than the whole row, so
-|c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
-polynomial of the row norms.  Maclaurin's inequality bounds e_m by
-C(n, m) times the m-th power of the mean row norm, and the power-mean
-inequality bounds that mean by sqrt(S / n), where S is the sum of the
-squared entries.  So |c_{n-m}| <= C(n, m) (S / n)^(m/2), a closed form
-in integers that equals the uniform bound C(n, m) (max row norm)^m
-whenever the rows have equal norms.  None of this needs integer
-entries, and similar matrices share their coefficients, so the bound
-may read S from any real matrix similar to A.  With ``charpoly``'s
-``weights``, positive integers w with diag(w) A symmetric (checked), A
-is similar to the symmetric diag(w)^(1/2) A diag(w)^(-1/2), whose
-(i, j) entry squared is a_ij a_ji; the budget then takes
-S' = sum_ij a_ij a_ji, which is at most S.  Each residue comes from one
-of two routes, and a third, independent route checks them:
+coefficient bound, so the result is exact, not heuristic.  Each
+coefficient c_j of p(z) = det(zI - A) = sum_j c_j z^j takes the smaller
+of two bounds, and the budget covers the largest of these minima.
+
+* Hadamard.  c_{n-m} is (-1)^m times the sum of the m x m principal
+  minors, Hadamard's inequality bounds each minor by the product of its
+  rows' norms, and a row of a minor is no longer than the whole row, so
+  |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the m-th elementary symmetric
+  polynomial of the row norms.  Maclaurin's inequality bounds e_m by
+  C(n, m) times the m-th power of the mean row norm, and the power-mean
+  inequality bounds that mean by sqrt(S / n), where S is the sum of the
+  squared entries.  So |c_{n-m}| <= C(n, m) (S / n)^(m/2), a closed form
+  in integers that equals the uniform bound C(n, m) (max row norm)^m
+  whenever the rows have equal norms.
+
+* Parseval.  For any r > 0, Parseval's identity on the circle |z| = r
+  gives sum_j |c_j|^2 r^(2j) = mean over |z| = r of |p(z)|^2.  At each
+  z, |p(z)|^2 = prod_i |z - lambda_i|^2 is at most the n-th power of the
+  mean of the |z - lambda_i|^2 (AM-GM), and
+  sum_i |z - lambda_i|^2 = n r^2 - 2 Re(conj(z) sum_i lambda_i)
+  + sum_i |lambda_i|^2 <= n r^2 + 2 r t + S, with t = |tr A| and
+  Schur's inequality sum_i |lambda_i|^2 <= S.  So
+  |c_j|^2 <= (n r^2 + 2 r t + S)^n / (n^n r^(2j)) for every complex
+  square matrix and every r > 0.  Where t is small, as for an adjacency
+  matrix, this is far below Hadamard's bound in the middle
+  coefficients: at t = 0 it takes C(n, m) down to about its square root.
+  The budget takes r a power of two, so the bound is a quotient of
+  integers.  A float only picks the exponent, near the minimising r
+  (the positive root of n (n - j) r^2 + t (n - 2j) r - j S = 0): every
+  r > 0 gives a sound bound, so rounding can make it looser, never
+  wrong, and a float never decides the budget.
+
+None of this needs integer entries, and similar matrices share their
+coefficients and their trace, so the bounds may read S from any real
+matrix similar to A.  With ``charpoly``'s ``weights``, positive integers
+w with diag(w) A symmetric (checked), A is similar to the symmetric
+diag(w)^(1/2) A diag(w)^(-1/2), whose (i, j) entry squared is
+a_ij a_ji; the budget then takes S' = sum_ij a_ij a_ji, which is at
+most S.  Each residue comes from one of two routes, and a third,
+independent route checks them:
 
 * Krylov / Berlekamp-Massey, for sparse matrices.  The sequence
   s_i = v^T A^i v mod p, for a fixed start vector v, satisfies the
@@ -34,10 +56,13 @@ of two routes, and a third, independent route checks them:
   so lambda = tr(A) + m_{n-2} mod p and the residue is exact again.
   A shorter m leaves a quotient of degree 2 or more, which the trace
   alone does not fix, and that residue comes from the Hessenberg
-  route.  v is given by a formula, with no random state: the input
-  decides only which route proves a residue, never the residue.  One
-  product A x costs a gather over the nonzero entries, so a prime
-  costs O(n nnz).
+  route.  The primes run through the Krylov route together, with no
+  separate trial prime, and each prime's residue is proven on its own,
+  so one prime's short m sends only that prime to the Hessenberg
+  route.  v is given by a formula, with no
+  random state: the input decides only which route proves a residue,
+  never the residue.  One product A x costs a gather over the nonzero
+  entries, so a prime costs O(n nnz).
 
 * Hessenberg, for every other residue.  Reduce to Hessenberg form
   modulo p (similarity transforms only) and run the leading-minor
@@ -218,8 +243,8 @@ def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 # is nonzero.  On random symmetric 0/1 matrices of full degree the two
 # routes cost the same at about 0.45 for n = 338 and n = 500, and Krylov
 # takes 0.49 and 0.72 of the Hessenberg time at 0.3; the crossover falls
-# as n grows.  The cutoff sits below it because a derogatory matrix pays
-# for the probe and gains nothing.
+# as n grows.  The cutoff sits below it because a derogatory matrix runs
+# the whole Krylov batch and then the Hessenberg route for every prime.
 _KRYLOV_DENSITY = 0.3
 # Krylov vectors held at once
 _KRYLOV_BLOCK = 16
@@ -359,64 +384,93 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
 def _residues(a: np.ndarray, primes: list) -> list:
     """The char poly of ``a`` modulo each prime, coefficients low to high.
 
-    A sparse matrix probes the Krylov route with the first prime.  If
-    the minimal polynomial m of the probe's sequence has degree n or
-    n - 1, the other primes run that route in batches.  A residue comes
-    from m itself at degree n and from m (x - lambda) at degree n - 1;
-    a prime whose sequence falls shorter takes the Hessenberg route.
-    The module docstring says why both are exact.  If the probe falls
-    shorter (a matrix with a deficiency of 2 or more, or an unlucky
-    start vector), every prime takes the Hessenberg route.
+    A sparse matrix runs every prime through the Krylov route, in batches
+    of at most ``_KRYLOV_TERMS`` gathered terms per product, and each
+    prime's residue is then proven on its own: from the minimal
+    polynomial m of its sequence at degree n, from m (x - lambda) at
+    degree n - 1, and from the Hessenberg route, for that prime alone,
+    when m falls shorter.  The module docstring says why each is exact.
+    A dense matrix takes the Hessenberg route for every prime.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
-    if nnz <= _KRYLOV_DENSITY * n * n:
-        trace = sum(np.diagonal(a).tolist())
+    if nnz > _KRYLOV_DENSITY * n * n:
+        return [_hessenberg_charpoly_mod(a, p) for p in primes]
+    trace = sum(np.diagonal(a).tolist())
 
-        def residue(deg, m, p):
-            if deg == n:
-                return m
-            if deg < n - 1:
-                return _hessenberg_charpoly_mod(a, p)
-            lam = (trace + (int(m[-2]) if deg else 0)) % p
-            res = np.zeros(n + 1, dtype=np.int64)
-            res[1:] = m
-            res[:-1] -= lam * m
-            return _mod(res, p)
+    def residue(deg, m, p):
+        if deg == n:
+            return m
+        if deg < n - 1:
+            return _hessenberg_charpoly_mod(a, p)
+        lam = (trace + (int(m[-2]) if deg else 0)) % p
+        res = np.zeros(n + 1, dtype=np.int64)
+        res[1:] = m
+        res[:-1] -= lam * m
+        return _mod(res, p)
 
-        first, rest = primes[:1], primes[1:]
-        [(deg, m)] = _berlekamp_massey_mod(_krylov_sequences(a, first, 2 * n), first, n)
-        if deg >= n - 1:
-            out = [residue(deg, m, first[0])]
-            size = max(1, _KRYLOV_TERMS // max(nnz, 1))
-            for i in range(0, len(rest), size):
-                group = rest[i : i + size]
-                found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
-                out += [residue(d, poly, p) for (d, poly), p in zip(found, group)]
-            return out
-    return [_hessenberg_charpoly_mod(a, p) for p in primes]
+    out = []
+    size = max(1, _KRYLOV_TERMS // max(nnz, 1))
+    for i in range(0, len(primes), size):
+        group = primes[i : i + size]
+        found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
+        out += [residue(d, poly, p) for (d, poly), p in zip(found, group)]
+    return out
 
 
 def _coefficient_bound(mat: np.ndarray, S: int | None = None) -> int:
     """A bound B with |c_k| <= B for all char poly coefficients.
 
-    By Hadamard's inequality |c_{n-m}| <= e_m(|A_1|, ..., |A_n|), the
-    m-th elementary symmetric polynomial of the row norms (module
-    docstring).  Maclaurin's inequality gives e_m <= C(n, m) mu^m for
-    the mean row norm mu, and the power-mean inequality gives
-    mu^2 <= S / n for the sum S of the squared entries.  So
-    |c_{n-m}|^2 <= C(n, m)^2 S^m / n^m, and the isqrt of that quotient
-    rounded up, plus one, exceeds |c_{n-m}|.  S is summed over the
-    distinct entries in Python ints, so nothing overflows.  ``charpoly``
-    passes S' of its ``weights`` in place of S (module docstring).
+    Each coefficient takes the smaller of two bounds on its square (module
+    docstring).  Hadamard's: |c_{n-m}|^2 <= C(n, m)^2 S^m / n^m, for the
+    sum S of the squared entries.  Parseval's:
+    |c_j|^2 <= (n r^2 + 2 r t + S)^n / (n^n r^(2j)) for t = |tr mat| and
+    any r > 0, here a power of two near the r that minimises it, which
+    a float picks.  Both are quotients of Python ints, rounded up, so
+    nothing overflows or rounds down; the isqrt of the largest minimum,
+    plus one, exceeds every |c_k|.  The coefficients run in decreasing
+    order of their Hadamard bound, and the scan stops at the first one
+    whose Hadamard bound cannot raise the maximum, so Parseval's is taken
+    only where it might decide it.  ``charpoly`` passes S' of its
+    ``weights`` in place of S (module docstring).
     """
     n = mat.shape[0]
     if S is None:
         values, counts = np.unique(mat, return_counts=True)
         S = sum(v * v * c for v, c in zip(values.tolist(), counts.tolist()))
-    return max(
-        math.isqrt(-(-math.comb(n, m) ** 2 * S**m // n**m)) + 1 for m in range(n + 1)
-    )
+    t = abs(sum(np.diagonal(mat).tolist()))
+    # hadamard[m] bounds |c_{n-m}|^2: C(n, m)^2 S^m / n^m, rounded up
+    hadamard = []
+    comb, power, scale = 1, 1, 1
+    for m in range(n + 1):
+        hadamard.append(-(-comb * comb * power // scale))
+        comb, power, scale = comb * (n - m) // (m + 1), power * S, scale * n
+    # e -> (n r^2 + 2 r t + S)^n at r = 2^e, times 4^(-e n) when e < 0
+    powers = {}
+    base = n**n
+    best = 0
+    for m in sorted(range(n + 1), key=hadamard.__getitem__, reverse=True):
+        square = hadamard[m]
+        if square <= best:
+            break
+        j = n - m
+        # at j = n Hadamard's bound is 1 = c_n, and at j = 0 it is
+        # Parseval's limit as r -> 0, so neither needs Parseval's
+        if 0 < j < n:
+            # r = 2^e, e rounded from the positive root of
+            # n (n - j) r^2 + t (n - 2j) r - j S = 0
+            a, b = n * m, t * (n - 2 * j)
+            root = -b + math.isqrt(b * b + 4 * a * j * S)
+            e = round(math.log2(max(root, 1)) - math.log2(2 * a))
+            if e not in powers:
+                if e >= 0:
+                    powers[e] = ((n << 2 * e) + (t << e + 1) + S) ** n
+                else:
+                    powers[e] = (n + (t << 1 - e) + (S << -2 * e)) ** n
+            shift = 2 * e * j if e >= 0 else -2 * e * m
+            square = min(square, -(-powers[e] // (base << shift)))
+        best = max(best, square)
+    return math.isqrt(best) + 1
 
 
 def charpoly(mat: np.ndarray, weights=None) -> list:

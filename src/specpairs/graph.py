@@ -107,8 +107,10 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph on n vertices from an iterable of (u, v) pairs."""
+        n = _integer(n, "n")
         a = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            u, v = _integer(u, "vertex"), _integer(v, "vertex")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -171,12 +173,14 @@ class Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Graph(n, np.zeros((n, n), dtype=bool))
 
 
 def complete_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     a = np.ones((n, n), dtype=bool)
@@ -186,12 +190,14 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     """The n-cycle 0-1-...-(n-1)-0, n >= 3."""
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -199,6 +205,7 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
+    a, b = _integer(a, "part size"), _integer(b, "part size")
     if a < 0 or b < 0:
         raise ValueError("part sizes must be nonnegative")
     m = np.zeros((a + b, a + b), dtype=bool)
@@ -213,11 +220,12 @@ def circulant(n: int, jumps) -> Graph:
     Jumps are reduced mod n and closed under negation, so the result is
     regular of degree |{j, n-j : j in jumps}|.
     """
+    n = _integer(n, "n")
     if n <= 0:
         raise ValueError("n must be positive")
     js = set()
     for j in jumps:
-        r = j % n
+        r = _integer(j, "jump") % n
         if r == 0:
             raise ValueError(f"jump {j} is 0 mod {n}")
         js.add(r)
@@ -266,9 +274,10 @@ def delete_vertices(g: Graph, vertices):
     """
     drop = set()
     for v in vertices:
+        v = _integer(v, "vertex")
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-        drop.add(int(v))
+        drop.add(v)
     keep = [v for v in range(g.n) if v not in drop]
     mapping = {old: new for new, old in enumerate(keep)}
     sub = g.adj[np.ix_(keep, keep)]
@@ -280,6 +289,7 @@ def delete_edges(g: Graph, edges) -> Graph:
     does not matter)."""
     a = g.adj.copy()
     for u, v in edges:
+        u, v = _integer(u, "vertex"), _integer(v, "vertex")
         if not (0 <= u < g.n and 0 <= v < g.n) or not a[u, v]:
             raise ValueError(f"edge ({u}, {v}) not in graph")
         a[u, v] = a[v, u] = False

@@ -1,7 +1,7 @@
 """The modular charpoly's prime budget and its two residue routes: the
-Hadamard bound from the order and the sum of squared entries, the
-reduction helper, the Hessenberg pivot swaps, and the Krylov /
-Berlekamp-Massey route with its fallback, each against the
+Hadamard and Parseval bounds from the order, the sum of squared entries
+and the trace, the reduction helper, the Hessenberg pivot swaps, and the
+Krylov / Berlekamp-Massey route with its fallback, each against the
 division-free Berkowitz route."""
 
 import math
@@ -46,6 +46,17 @@ def uniform_bound(mat) -> int:
     n = len(mat)
     b2 = max([sum(int(x) ** 2 for x in row) for row in mat] + [1])
     return max(math.isqrt(math.comb(n, m) ** 2 * b2**m) + 1 for m in range(n + 1))
+
+
+def hadamard_bound(mat, S=None) -> int:
+    """The Hadamard-only bound max_m C(n, m) (S / n)^(m/2), rounded up as
+    ``_coefficient_bound`` rounds it, in Python ints."""
+    n = len(mat)
+    if S is None:
+        S = sum(int(x) ** 2 for row in mat for x in row)
+    return max(
+        math.isqrt(-(-math.comb(n, m) ** 2 * S**m // n**m)) + 1 for m in range(n + 1)
+    )
 
 
 def test_coefficient_bound_is_exact_past_int64():
@@ -94,8 +105,79 @@ def test_coefficient_bound_is_sound_and_no_looser(mat):
     want = berkowitz_charpoly(mat)
     bound = _coefficient_bound(mat)
     assert bound >= max(abs(c) for c in want)
-    assert bound <= uniform_bound(mat.tolist())
+    assert bound <= hadamard_bound(mat.tolist()) <= uniform_bound(mat.tolist())
     assert charpoly(mat) == want
+
+
+@st.composite
+def traced_complex_matrices(draw):
+    """Non-symmetric integer matrices of order 2 to 12 with a nonzero
+    trace and a pair of complex eigenvalues a +- bi, b != 0: the leading
+    2 x 2 block is [[a, -b], [b, a]] and nothing below it, so its
+    eigenvalues are eigenvalues of the whole."""
+    mat = draw(integer_matrices().filter(lambda m: len(m) >= 2))
+    a = draw(st.integers(min_value=-(2**10), max_value=2**10))
+    b = draw(st.integers(min_value=1, max_value=2**10)) * draw(st.sampled_from([-1, 1]))
+    mat[:2, :2] = [[a, -b], [b, a]]
+    mat[2:, :2] = 0
+    if not np.trace(mat):
+        mat[-1, -1] += draw(st.sampled_from([-3, 1, 2]))
+    return mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=traced_complex_matrices())
+def test_coefficient_bound_holds_with_a_trace_and_complex_eigenvalues(mat):
+    want = berkowitz_charpoly(mat)
+    assert np.trace(mat) != 0
+    bound = _coefficient_bound(mat)
+    assert max(abs(c) for c in want) <= bound <= hadamard_bound(mat.tolist())
+    assert charpoly(mat) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=traced_complex_matrices(), e=st.integers(min_value=-4, max_value=4))
+def test_parseval_inequality_holds_for_each_coefficient(mat, e):
+    # |c_j|^2 r^(2j) n^n <= (n r^2 + 2 r |t| + S)^n at r = 2^e, scaled by
+    # 4^(n |e|) so that every term is an integer
+    n = len(mat)
+    t = abs(int(np.trace(mat)))
+    S = sum(int(x) ** 2 for row in mat.tolist() for x in row)
+    q = 1 << abs(e)
+    inner = n * q * q + 2 * q * t + S if e >= 0 else n + 2 * q * t + S * q * q
+    for j, c in enumerate(berkowitz_charpoly(mat)):
+        r2j = q ** (2 * j) if e >= 0 else q ** (2 * (n - j))
+        assert c * c * r2j * n**n <= inner**n
+
+
+@st.composite
+def weighted_quotients(draw):
+    """Q = M diag(w) for a symmetric integer M with a nonzero diagonal and
+    positive integer weights w, so that diag(w) Q is symmetric and
+    tr Q != 0, as for the twin quotient of a graph with true twins."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = np.triu(np.array(rows, dtype=np.int64).reshape(n, n))
+    m = m + np.triu(m, 1).T
+    m[0, 0] = draw(st.sampled_from([-2, 1, 3]))
+    w = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    q = m * np.array(w, dtype=np.int64)[None, :]
+    if not np.trace(q):
+        q[0, 0] += w[0]  # M[0, 0] + 1, still symmetric
+    return q, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotient=weighted_quotients())
+def test_weighted_bound_holds_on_quotients_with_a_trace(quotient):
+    q, w = quotient
+    assert np.trace(q) != 0
+    S = int((q.astype(object) * q.T.astype(object)).sum())
+    want = berkowitz_charpoly(q)
+    bound = _coefficient_bound(q, S)
+    assert max(abs(c) for c in want) <= bound <= hadamard_bound(q.tolist(), S)
+    assert charpoly(q, weights=w) == want
 
 
 PAPER_FAMILIES = (
@@ -106,19 +188,49 @@ PAPER_FAMILIES = (
 )
 
 
+# primes of (A, L) for each family's Gamma: before the trace-aware bound,
+# then now
+PAPER_FAMILY_PRIMES = {
+    ("vertex", 2): ((1, 2), (1, 2)),
+    ("vertex", 3): ((2, 2), (1, 2)),
+    ("vertex", 4): ((2, 3), (2, 3)),
+    ("vertex", 5): ((3, 4), (2, 4)),
+    ("vertex", 6): ((3, 5), (3, 5)),
+    ("vertex", 7): ((4, 7), (4, 7)),
+    ("vertex", 8): ((5, 8), (4, 8)),
+    ("vertex", 9): ((5, 9), (5, 9)),
+    ("vertex", 10): ((6, 10), (5, 10)),
+    ("edge", 6): ((5, 8), (4, 8)),
+    ("edge", 8): ((7, 12), (6, 12)),
+    ("edge", 10): ((9, 17), (9, 17)),
+    ("edge", 12): ((12, 21), (11, 21)),
+    ("edge", 14): ((14, 26), (13, 26)),
+    ("edge-variant4", None): ((3, 5), (3, 5)),
+    ("line-of-edge-variant4", None): ((10, 18), (9, 18)),
+    ("line-of-vertex", 3): ((5, 7), (4, 7)),
+    ("line-of-edge", 6): ((32, 59), (30, 59)),
+}
+
+
 @pytest.mark.parametrize("tag,k", PAPER_FAMILIES)
 def test_paper_families_take_as_many_primes_as_before(tag, k):
-    # their graphs are regular, so every row has the same norm and the
-    # row-norm bound meets the uniform one
+    # no more primes than before, and exactly the pinned count.  Their
+    # graphs are regular, so every row has the same norm and the row-norm
+    # bound meets the uniform one; the trace of A is 0, which the
+    # Parseval bound uses, while L's trace nd leaves Hadamard's in place
+    before, now = PAPER_FAMILY_PRIMES[(tag, k)]
     g = generate_family(tag, k).gamma
-    for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
-        old = _primes_covering(2 * uniform_bound(mat.tolist()) + 1)
-        assert _primes_covering(2 * _coefficient_bound(mat) + 1) == old
+    mats = (g.adj.astype(np.int64), laplacian_matrix(g))
+    old = [len(_primes_covering(2 * uniform_bound(m.tolist()) + 1)) for m in mats]
+    new = [len(_primes_covering(2 * _coefficient_bound(m) + 1)) for m in mats]
+    assert tuple(old) == before
+    assert tuple(new) == now
+    assert all(a <= b for a, b in zip(new, old))
 
 
 def test_edge_14_gamma_takes_one_quotient_charpoly_of_10_primes(monkeypatch):
     # the twin quotient has order 82, and its symmetrized budget S' takes
-    # 10 primes; the adjacency matrix itself, of order 132, takes 14
+    # 10 primes; the adjacency matrix itself, of order 132, takes 13
     calls, budgets = [], []
     real, covering = _exactpoly.charpoly, _exactpoly._primes_covering
 
@@ -135,22 +247,47 @@ def test_edge_14_gamma_takes_one_quotient_charpoly_of_10_primes(monkeypatch):
     g = edge_pair(14).gamma
     char_poly_adjacency(g)
     assert calls == [82] and budgets == [10]
-    assert len(covering(2 * _coefficient_bound(g.adj.astype(np.int64)) + 1)) == 14
+    # the adjacency matrix took 14 under the Hadamard bound alone
+    adj = g.adj.astype(np.int64)
+    assert len(covering(2 * hadamard_bound(adj.tolist()) + 1)) == 14
+    assert len(covering(2 * _coefficient_bound(adj) + 1)) == 13
 
 
-def test_coefficient_bound_reads_only_the_order_and_the_sum_of_squares():
-    # both have sum of squares 10, but row norms 3, 1 against sqrt(5), sqrt(5)
-    a = np.array([[3, 0], [0, 1]], dtype=np.int64)
-    b = np.array([[1, 2], [2, 1]], dtype=np.int64)
-    assert _coefficient_bound(a) == _coefficient_bound(b)
+def test_coefficient_bound_reads_only_the_order_the_sum_of_squares_and_the_trace():
+    # a 40-cycle against a star with one more edge: both have S = 80 and
+    # trace 0, but row norms sqrt(2) each against sqrt(39), sqrt(2), ...
+    n = 40
+    cycle = cycle_graph(n).adj.astype(np.int64)
+    star = Graph.from_edges(n, [(0, i) for i in range(1, n)] + [(1, 2)]).adj.astype(np.int64)
+    assert _coefficient_bound(cycle) == _coefficient_bound(star)
+    # the edge 12 moved onto the diagonal keeps S = 80: as +1 and -1 it
+    # keeps the trace 0 and the bound; as +1, +1 or -1, -1 it makes |tr| 2
+    # and the bound larger, equal for either sign
+    moved = {}
+    for d in ((1, -1), (1, 1), (-1, -1)):
+        m = star.copy()
+        m[1, 2] = m[2, 1] = 0
+        m[3, 3], m[4, 4] = d
+        moved[d] = _coefficient_bound(m)
+    assert moved[(1, -1)] == _coefficient_bound(star)
+    assert moved[(1, 1)] == moved[(-1, -1)] > _coefficient_bound(star)
 
 
 @settings(max_examples=50, deadline=None)
 @given(mat=integer_matrices(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_coefficient_bound_ignores_where_the_entries_sit(mat, seed):
+    # moves that keep n, S and |tr|: off-diagonal entries permuted among
+    # the off-diagonal places with any signs, diagonal entries permuted
+    # along the diagonal and all negated or not, and a transpose
     rng = np.random.default_rng(seed)
-    moved = rng.permutation(mat.ravel()).reshape(mat.shape)
-    moved *= rng.choice([-1, 1], size=mat.shape)
+    n = len(mat)
+    off = ~np.eye(n, dtype=bool)
+    moved = np.zeros_like(mat)
+    moved[off] = rng.permutation(mat[off]) * rng.choice([-1, 1], size=n * n - n)
+    moved[np.diag_indices(n)] = rng.permutation(mat.diagonal().copy()) * rng.choice([-1, 1])
+    if rng.integers(2):
+        moved = moved.T
+    assert abs(np.trace(moved)) == abs(np.trace(mat))
     assert _coefficient_bound(moved) == _coefficient_bound(mat)
 
 
@@ -161,6 +298,19 @@ def test_analyze_graphs_take_at_most_one_prime_more():
     for line, before in zip(text.split(), (10, 12), strict=True):
         mat = decode_graph6(line).adj.astype(np.int64)
         assert len(_primes_covering(2 * _coefficient_bound(mat) + 1)) <= before + 1
+
+
+def test_analyze_graphs_take_8_and_9_primes_under_the_trace_bound():
+    # the same two graphs take 11 and 12 primes under the Hadamard bound
+    # alone; both are sparse with trace 0, where Parseval's bound is smaller
+    text = (Path(__file__).parent / "data" / "analyze_seed0_graphs_11_17.g6").read_text()
+    before, now = [], []
+    for line in text.split():
+        mat = decode_graph6(line).adj.astype(np.int64)
+        before.append(len(_primes_covering(2 * hadamard_bound(mat.tolist()) + 1)))
+        now.append(len(_primes_covering(2 * _coefficient_bound(mat) + 1)))
+    assert before == [11, 12]
+    assert now == [8, 9]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -405,7 +555,9 @@ def test_completed_residues_equal_hessenberg_on_bipartite_analyze_graphs():
             assert res.tolist() == _hessenberg_charpoly_mod(mat, p).tolist()
 
 
-def test_derogatory_sparse_graph_probes_once_then_takes_hessenberg(monkeypatch):
+def trace_routes(monkeypatch):
+    """Record each Krylov call, with its primes, and each Hessenberg call,
+    with its prime, in order."""
     calls = []
     krylov = _exactpoly._krylov_sequences
     hessenberg = _exactpoly._hessenberg_charpoly_mod
@@ -420,14 +572,31 @@ def test_derogatory_sparse_graph_probes_once_then_takes_hessenberg(monkeypatch):
 
     monkeypatch.setattr(_exactpoly, "_krylov_sequences", traced_krylov)
     monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", traced_hessenberg)
+    return calls
+
+
+def test_derogatory_sparse_graph_takes_one_krylov_batch_then_hessenberg(monkeypatch):
+    calls = trace_routes(monkeypatch)
     g = cycle_graph(5)
-    for _ in range(5):
+    for _ in range(7):
         g = disjoint_union(g, cycle_graph(5))
-    mat = g.adj.astype(np.int64)  # six 5-cycles: every eigenvalue repeats
+    mat = g.adj.astype(np.int64)  # eight 5-cycles: every eigenvalue repeats
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
     assert len(primes) > 1
     assert charpoly(mat) == berkowitz_charpoly(mat)
-    assert calls == [("krylov", primes[:1])] + [("hessenberg", p) for p in primes]
+    assert calls == [("krylov", primes)] + [("hessenberg", p) for p in primes]
+
+
+def test_residues_take_one_krylov_call_per_prime_group(monkeypatch):
+    # a path on 100 vertices has 198 nonzero entries, so a cap of 400
+    # gathered terms groups its 3 primes as two and one
+    mat = path_graph(100).adj.astype(np.int64)
+    primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+    want = [_hessenberg_charpoly_mod(mat, p).tolist() for p in primes]
+    calls = trace_routes(monkeypatch)
+    monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", 400)
+    assert [r.tolist() for r in _residues(mat, primes)] == want
+    assert calls == [("krylov", primes[:2]), ("krylov", primes[2:])]
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

@@ -50,6 +50,41 @@ def test_adjacency_is_validated():
     assert components(g).count == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: empty_graph(2.0),
+        lambda: complete_graph(3.0),
+        lambda: cycle_graph(5.0),
+        lambda: path_graph(3.0),
+        lambda: complete_bipartite(2.0, 1),
+        lambda: complete_bipartite(2, True),
+        lambda: circulant(7.0, [1]),
+        lambda: circulant(7, [1.0]),
+        lambda: Graph.from_edges(3.0, [(0, 1)]),
+        lambda: Graph.from_edges(3, [(0, 1.0)]),
+        lambda: Graph.from_edges(3, [(True, 2)]),
+        lambda: delete_edges(cycle_graph(5), [(0, 1.0)]),
+        lambda: delete_vertices(cycle_graph(5), [1.5]),
+        lambda: delete_vertices(cycle_graph(5), [True]),
+        lambda: delete_vertices(cycle_graph(5), ["1"]),
+    ],
+)
+def test_orders_and_vertices_must_be_integers(build):
+    # a float, bool or string is refused, never truncated to an int
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_orders_and_vertices_are_taken():
+    g = Graph.from_edges(np.int64(5), [(np.int64(i), np.int32((i + 1) % 5)) for i in range(5)])
+    assert g == cycle_graph(5) == circulant(np.int64(5), [np.int64(1)])
+    sub, mapping = delete_vertices(g, [np.int64(1)])
+    assert sub == Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
+    assert mapping == {0: 0, 2: 1, 3: 2, 4: 3}
+    assert delete_edges(g, [(np.int64(4), np.int64(0))]) == path_graph(5)
+
+
 def test_adjacency_entries_must_be_zero_or_one():
     with pytest.raises(ValueError, match=r"entry 2 at \(0, 1\) is not 0 or 1"):
         Graph.from_adjacency([[0, 2], [2, 0]])
