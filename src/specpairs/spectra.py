@@ -10,8 +10,8 @@ eigensolver is used only to propose the interval, never to decide it.
 A family pair's polynomials are proved with as few charpolys as exact
 identities allow (``pair_char_polys``): the Laplacian of a regular
 graph follows from its adjacency polynomial, a switched graph is
-certified similar to its source by an integer matrix built from the
-switching plan, and the line graph of a regular graph follows from the
+certified similar to its source by the switching matrix, read from the
+plan's classes, and the line graph of a regular graph follows from the
 base graph's polynomial by Sachs' identity.
 
 An adjacency charpoly itself runs on the graph's twin quotient when
@@ -219,56 +219,50 @@ def _line_graph_poly(p: IntPolynomial, d: int, extra: int) -> IntPolynomial:
     )
 
 
-def _plan_scale(plan) -> int:
-    """The least l that makes l*Q integral for the plan's orthogonal
-    switching matrix Q: the lcm over classes of size m of m/gcd(m, 2)."""
-    sizes = [len(c) for c in plan.classes]
-    return math.lcm(*(m // math.gcd(m, 2) for m in sizes)) if sizes else 1
-
-
-def _plan_matrix(plan, ell: int) -> np.ndarray:
-    """M = l*Q, with Q = (2/m)J - I on each class of size m and I
-    elsewhere; ``ell`` is ``_plan_scale(plan)``."""
-    mat = ell * np.eye(plan.n, dtype=np.int64)
+def _times_qs(x: np.ndarray, plan) -> np.ndarray:
+    """X Q S for an integer matrix X, with Q = (2/|C|)J - I on each class
+    C of the plan and I elsewhere, and S = diag(s), s_v = |C| on C and 1
+    off every class: column j of X Q S is column j of X for a free j, and
+    2 (the row sums of X over C) - |C| (column j of X) for j in C."""
+    out = x.copy()
     for cls in plan.classes:
         idx = np.asarray(cls, dtype=np.intp)
-        block = np.full((idx.size, idx.size), 2 * ell // idx.size, dtype=np.int64)
-        np.fill_diagonal(block, 2 * ell // idx.size - ell)
-        mat[np.ix_(idx, idx)] = block
-    return mat
+        out[:, idx] = 2 * x[:, idx].sum(axis=1, keepdims=True) - idx.size * x[:, idx]
+    return out
 
 
 def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
     """The matrices ("adjacency", "laplacian") for which the switching
     plan proves h cospectral with g.
 
-    With M = l*Q from ``_plan_matrix``, M^T M = l^2 I makes Q = M/l
-    orthogonal, and then M^T X M = l^2 X' shows X' = Q^T X Q similar to
-    X, for X the adjacency matrix or the Laplacian.  Every check is exact
-    int64 arithmetic.  A matrix left out is only not proven by this
-    certificate: the graphs may still share its spectrum.
+    Q above (``_times_qs``) has Q^2 = I, since the plan's classes are
+    disjoint and ((2/m)J - I)^2 = I for J of order m.  For X the
+    adjacency matrix or the Laplacian of g and X' that of h, both
+    symmetric, S X Q S = S Q X' S is (S X' Q S)^T, and it holds exactly
+    when X Q = Q X', S being invertible, that is when X' = Q^-1 X Q is
+    similar to X.  Each side costs O(n^2) in exact int64 arithmetic, and
+    Q itself is never formed.  A matrix left out is only not proven by
+    this certificate: the graphs may still share its spectrum.
     """
-    if not (plan.n == g.n == h.n):
+    n = g.n
+    if not (plan.n == n == h.n):
         return frozenset()
-    ell = _plan_scale(plan)
-    # a column of M has absolute sum at most 3l and |L_ij| <= n, so every
-    # entry of M^T X M, and every partial sum on the way to it, is at
-    # most 9 l^2 n in absolute value; below 2^63 int64 holds it exactly.
-    # The bound is checked before M is built, since l itself may not
-    # fit in an int64
-    if 9 * ell * ell * max(g.n, 1) >= 1 << 63:
+    # |X_ij| <= n - 1 and a row of X has absolute sum at most 2(n - 1), so
+    # every entry of S X Q S, and every partial sum on the way to it, is
+    # at most n (n - 1)(n + 4) < n^3 + 4n^2 in absolute value; below 2^63
+    # int64 holds it exactly
+    if n**3 + 4 * n**2 >= 1 << 63:
         return frozenset()
-    mat = _plan_matrix(plan, ell)
-    scale = ell * ell
-    if not np.array_equal(mat.T @ mat, scale * np.eye(g.n, dtype=np.int64)):
-        return frozenset()
+    s = np.ones((n, 1), dtype=np.int64)
+    for cls in plan.classes:
+        s[list(cls)] = len(cls)
     pairs = {
         "adjacency": (g.adj.astype(np.int64), h.adj.astype(np.int64)),
         "laplacian": (laplacian_matrix(g), laplacian_matrix(h)),
     }
     return frozenset(
         name for name, (x, y) in pairs.items()
-        if np.array_equal(mat.T @ x @ mat, scale * y)
+        if np.array_equal(s * _times_qs(x, plan), (s * _times_qs(y, plan)).T)
     )
 
 

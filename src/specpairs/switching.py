@@ -42,9 +42,9 @@ class SwitchingPlan:
 
     The free set is implicit: every vertex of range(n) in no class.
     Class membership is normalized to sorted tuples; overlapping or
-    out-of-range classes are rejected at construction, and so are an
-    order or a member that is not an integer (bools and floats
-    included) and classes that are not iterables.
+    out-of-range classes are rejected at construction, and so are a
+    negative order, an order or a member that is not an integer (bools
+    and floats included) and classes that are not iterables.
     """
 
     n: int
@@ -52,6 +52,8 @@ class SwitchingPlan:
 
     def __init__(self, n, classes):
         n = _integer(n, "n")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         if not isinstance(classes, Iterable):
             raise ValueError(f"classes must be a list of classes, got {classes!r}")
         norm = []

@@ -451,9 +451,15 @@ def test_switch_proves_cospectrality_by_certificate(tmp_path, capsys, monkeypatc
     assert decode_graph6(out.strip()) == fi.gamma_prime
 
 
-def test_switch_with_a_scale_past_int64_falls_back_to_charpolys(tmp_path, capsys):
+def test_switch_proves_classes_of_coprime_sizes_by_certificate(
+    tmp_path, capsys, monkeypatch
+):
     # classes of the odd primes up to 53 on the empty graph of order 379:
-    # the certificate's scale l, their product, does not fit in an int64
+    # no l below 2^63 makes l Q integral, and the certificate needs none
+    def never(g, h):
+        raise AssertionError("computed charpolys despite the plan")
+
+    monkeypatch.setattr("specpairs.cli.cospectral", never)
     sizes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     classes, at = [], 0
     for m in sizes:
@@ -502,10 +508,12 @@ def test_switch_wants_exactly_one_graph(tmp_path, capsys):
         (12, '{"n": 12.9, "classes": []}'),
         (12, '{"n": 12, "classes": [[0, 1.5]]}'),
         (1, '{"n": true, "classes": []}'),
+        (2, '{"n": -2, "classes": []}'),
     ],
 )
 def test_switch_malformed_plan_is_usage_error(tmp_path, capsys, order, plan):
-    # the orders match what int() would have made of each plan's n
+    # the orders match what int() would have made of each plan's n, and
+    # its absolute value when n is negative
     graph_file = tmp_path / "g.g6"
     graph_file.write_text(encode_graph6(empty_graph(order)) + "\n")
     plan_file = tmp_path / "plan.json"

@@ -1,8 +1,12 @@
 """The identity routes of ``pair_char_polys``, each cross-checked against
 the direct modular charpoly, plus the chunked CRT path past 511 terms."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpairs import (
     FamilyInstance,
@@ -21,6 +25,7 @@ from specpairs import (
     path_graph,
     similarity_certificate,
     switch,
+    validate_plan,
     vertex_pair,
 )
 from specpairs import _exactpoly, spectra
@@ -133,21 +138,67 @@ def test_certificate_needs_matching_orders(vertex3):
     assert not similarity_certificate(vertex3.gamma, vertex3.gamma_prime, plan)
 
 
+def fraction_switching_matrix(plan):
+    """Q = (2/|C|)J - I on each class C and I elsewhere, as Fractions."""
+    q = np.array(
+        [[Fraction(int(i == j)) for j in range(plan.n)] for i in range(plan.n)],
+        dtype=object,
+    )
+    for cls in plan.classes:
+        for i in cls:
+            for j in cls:
+                q[i, j] = Fraction(2, len(cls)) - (i == j)
+    return q
+
+
+def integer_matrices(g):
+    a = g.adj.astype(int).astype(object)
+    return {"adjacency": a, "laplacian": np.diag(a.sum(axis=1)) - a}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_certificate_agrees_with_a_fraction_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=14), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_graph(rng, n, rng.random())
+    order = data.draw(st.permutations(range(n)), label="order")
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="sizes")
+    classes, at = [], 0
+    for m in sizes:
+        m = min(m, n - at)
+        if m:
+            classes.append(order[at:at + m])
+            at += m
+    plan = SwitchingPlan(n, classes)
+    switched = switch(g, plan) if validate_plan(g, plan).valid else g
+    u, v = data.draw(st.permutations(range(n)), label="flip")[:2]
+    adj = switched.adj.copy()
+    adj[u, v] = adj[v, u] = not adj[u, v]
+    q = fraction_switching_matrix(plan)
+    xs = integer_matrices(g)
+    for h in (switched, Graph(n, adj)):
+        ys = integer_matrices(h)
+        similar = {name for name in xs if (q @ xs[name] @ q == ys[name]).all()}
+        assert similarity_certificate(g, h, plan) == similar
+
+
 def prime_classes_plan():
     """An admissible plan on the empty graph of order 379 = 3 + 5 + ... + 53
-    whose classes have the odd primes up to 53 as sizes, so that l, their
-    product, is about 1.6e19 and does not fit in an int64."""
+    whose classes have the odd primes up to 53 as sizes, so that no l below
+    2^63 makes l Q integral: the least, their product, is about 1.6e19."""
     sizes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     starts = np.cumsum([0] + sizes)
     n = int(starts[-1])
     return n, SwitchingPlan(n, [range(a, a + m) for a, m in zip(starts, sizes)])
 
 
-def test_certificate_refuses_a_scale_past_int64():
+def test_certificate_proves_classes_of_coprime_sizes():
     n, plan = prime_classes_plan()
-    assert spectra._plan_scale(plan) >= 1 << 63
     g = empty_graph(n)
-    assert similarity_certificate(g, switch(g, plan), plan) == frozenset()
+    assert similarity_certificate(g, switch(g, plan), plan) == {
+        "adjacency", "laplacian"
+    }
 
 
 # -- (c) Sachs' identity for line-graph pairs -----------------------------------------

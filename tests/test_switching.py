@@ -34,6 +34,8 @@ def test_plan_construction_errors():
         SwitchingPlan(4, [[0, 4]])
     with pytest.raises(ValueError, match="two classes"):
         SwitchingPlan(4, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        SwitchingPlan(-3, [])
 
 
 def test_plan_json_round_trip():
@@ -63,6 +65,7 @@ def test_plan_from_json_errors():
         ('{"n": 12, "classes": [[0, 1.5]]}', "member must be an integer"),
         ('{"n": true, "classes": []}', "n must be an integer"),
         ('{"n": 12, "classes": [[false, 1]]}', "member must be an integer"),
+        ('{"n": -2, "classes": []}', "n must be nonnegative"),
     ],
 )
 def test_plan_from_json_refuses_what_is_not_an_integer_plan(text, match):
