@@ -66,7 +66,20 @@ independent route checks them:
 
 * Hessenberg, for every other residue.  Reduce to Hessenberg form
   modulo p (similarity transforms only) and run the leading-minor
-  recurrence, O(n^3) per prime.
+  recurrence, O(n^3) per prime.  The primes run in groups, each one
+  (k, n, n) array, so that each of a prime's 2n steps takes its numpy
+  calls once for all k primes; at the orders of the paper's twin
+  quotients (22 to 82) those calls, not the arithmetic, are most of the
+  time.  A group's primes must pivot on the same row, so a group splits
+  at the step where an entry vanishes modulo some of its primes only.
+  A group divides by a (k, 1, 1) array of primes, which numpy does more
+  slowly than by one scalar (libdivide), so grouping pays less as the
+  order grows and the arithmetic takes over: measured on the paper's
+  quotients, groups took 0.4 to 0.55 of the time of one prime at a time
+  at orders 58 to 118, 0.7 to 0.95 at 130 to 262 and the same at 298.
+  Above order ``_HESSENBERG_GROUP_ORDER`` = 256 each prime runs alone
+  with a scalar p, and a group holds at most
+  ``_HESSENBERG_GROUP_ENTRIES`` = 2^18 entries, which bounds its memory.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
@@ -77,9 +90,10 @@ Primes stay below 2^27, so a sum of up to 511 products of residues
 stays below 2^63 (511 * p^2 < 2^63).  Every int64 dot product sums
 chunks of at most 511 terms and reduces each chunk mod p, and the
 Krylov route's sparse row sums add residues, not products; both stay
-exact at any order while numpy does the inner loops.  Residues are
-reduced as ``x - (x // p) * p``, which equals ``x % p`` but is several
-times faster in numpy for a scalar p.
+exact at any order while numpy does the inner loops.  Large arrays of
+residues are reduced as ``x - (x // p) * p``, which equals ``x % p``
+but is several times faster in numpy for a scalar p, and for a (k, 1,
+1) array of primes when each prime's block is contiguous.
 
 ``count_roots_greater`` counts roots exceeding a dyadic rational by
 Descartes' rule after an integer Taylor shift.  For real-rooted
@@ -152,8 +166,9 @@ def _primes_covering(target: int) -> list:
 _DOT_CHUNK = 511
 
 
-def _mod(x, p: int):
-    """``x % p`` for int64 arrays or scalars and p > 0.
+def _mod(x, p):
+    """``x % p`` for int64 arrays or scalars and p > 0, a scalar or an
+    array that broadcasts against x.
 
     numpy floor-divides by a scalar with a precomputed reciprocal
     (libdivide) but does not speed up ``%`` that way, so this form is
@@ -165,65 +180,111 @@ def _mod(x, p: int):
     return x - (x // p) * p
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: int):
+def _dot_mod(a: np.ndarray, b: np.ndarray, p):
     """``(a @ b) % p`` for int64 residues mod p < 2^27, exact at any length.
 
-    Contracts the last axis of a with the first axis of b in chunks of at
-    most ``_DOT_CHUNK`` terms, reducing mod p after each chunk.
+    Takes numpy's matmul over the last axis of a and the second to last
+    of b (its only axis when b is 1-D), in chunks of at most
+    ``_DOT_CHUNK`` terms, reducing mod p after each chunk.  p is a scalar
+    or an array that broadcasts against the product.
     """
-    total = _mod(a[..., :_DOT_CHUNK] @ b[:_DOT_CHUNK], p)
+    if b.ndim == 1:
+        return _dot_mod(a, b[:, None], p)[..., 0]
+    total = _mod(a[..., :_DOT_CHUNK] @ b[..., :_DOT_CHUNK, :], p)
     for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
-        total = _mod(total + a[..., i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK], p)
+        total = _mod(total + a[..., i : i + _DOT_CHUNK] @ b[..., i : i + _DOT_CHUNK, :], p)
     return total
 
 
-def _hessenberg_charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Char poly of ``mat`` modulo prime p, coefficients low to high.
+def _hessenberg_charpoly_mod(mat: np.ndarray, primes: list) -> list:
+    """Char poly of ``mat`` modulo each of ``primes``, coefficients low to
+    high, with the primes reduced together in one (k, n, n) array.
 
     Reduces to upper Hessenberg form by similarity (row eliminations
     mirrored by column operations), then runs the standard recurrence on
-    leading principal minors of xI - H.  Step j updates rows below j+1
-    only in columns j+1 and on: column j below the subdiagonal would
-    become zero, and nothing reads it again.
+    leading principal minors of xI - H.  A group of one prime reduces
+    with a scalar p, which ``_mod`` divides by fastest.
     """
     n = mat.shape[0]
-    H = _mod(mat.astype(np.int64), p)
-    for j in range(n - 2):
-        # pivot below the subdiagonal
-        col = H[j + 1 :, j]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            H[[j + 1, piv], :] = H[[piv, j + 1], :]
-            H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
-        inv = pow(int(H[j + 1, j]), p - 2, p)
-        mult = _mod(H[j + 2 :, j] * inv, p)
-        H[j + 2 :, j + 1 :] = _mod(
-            H[j + 2 :, j + 1 :] - np.outer(mult, H[j + 1, j + 1 :]), p
-        )
-        H[:, j + 1] = _mod(H[:, j + 1] + _dot_mod(H[:, j + 2 :], mult, p), p)
+    H = np.empty((len(primes), n, n), dtype=np.int64)
+    np.remainder(mat, np.array(primes, dtype=np.int64)[:, None, None], out=H)
+    return _hessenberg_group(H, primes, 0)
 
-    # P[m] = char poly of the m-th leading minor of xI - H, low-to-high.
+
+def _hessenberg_group(H: np.ndarray, primes: list, start: int) -> list:
+    """``_hessenberg_charpoly_mod`` of H[t] modulo primes[t], with H[t]
+    already in Hessenberg form in its first ``start`` columns.
+
+    Every prime of the group takes the same pivot row, so a swap is one
+    slice for all of them.  Where the first nonzero entry below the
+    subdiagonal differs between primes (an entry that one prime divides
+    and another does not), the group splits by pivot row and each part
+    goes on from that step alone.  Step j updates rows below j+1 only in
+    columns j+1 and on: column j below the subdiagonal would become zero,
+    and nothing reads it again.
+    """
+    k, n, _ = H.shape
+    p = primes[0] if k == 1 else np.array(primes, dtype=np.int64)[:, None, None]
+    # the minors' polynomials; until the recurrence, the same memory holds
+    # each step's update as one contiguous block
+    P = np.empty((k, n + 1, n + 1), dtype=np.int64)
+    work = P.reshape(-1)
+    for j in range(start, n - 2):
+        # pivot below the subdiagonal: the first nonzero entry of col, at
+        # the same row f for every prime, or for none of them
+        col = H[:, j + 1 :, j]
+        if not col[:, 0].all():
+            nz = col != 0
+            first = nz.argmax(axis=1)
+            f = int(first[0])
+            if k > 1 and ((first != f).any() or (nz[:, f] != nz[0, f]).any()):
+                key = np.where(nz[np.arange(k), first], first, -1)
+                out = [None] * k
+                for row in np.unique(key):
+                    part = np.flatnonzero(key == row)
+                    found = _hessenberg_group(H[part], [primes[t] for t in part], j)
+                    for t, res in zip(part, found):
+                        out[t] = res
+                return out
+            if not nz[0, f]:
+                continue
+            piv = j + 1 + f
+            H[:, [j + 1, piv], :] = H[:, [piv, j + 1], :]
+            H[:, :, [j + 1, piv]] = H[:, :, [piv, j + 1]]
+        inv = [pow(x, -1, q) for x, q in zip(H[:, j + 1, j].tolist(), primes)]
+        # the multipliers of rows j+1 and on; row j+1's own is 1
+        mult = H[:, j + 1 :, j : j + 1] * np.array(inv)[:, None, None] % p
+        # rest = _mod(rest - mult * row j+1), the difference and then its
+        # quotients held in a contiguous block, which numpy divides fastest
+        rest = H[:, j + 2 :, j + 1 :]
+        block = work[: rest.size].reshape(rest.shape)
+        np.multiply(mult[:, 1:], H[:, j + 1 : j + 2, j + 1 :], out=block)
+        np.subtract(rest, block, out=block)
+        rest[...] = block
+        np.floor_divide(block, p, out=block)
+        block *= p
+        rest -= block
+        # column j+1 += columns j+2 and on times the multipliers, as one
+        # product with mult's leading 1
+        H[:, :, j + 1 : j + 2] = _dot_mod(H[:, :, j + 1 :], mult, p)
+
+    # P_m = char poly of the m-th leading minor of xI - H, low-to-high.
     # For Hessenberg H the expansion along the last column gives
-    #   P[m] = (x - H[m-1,m-1]) P[m-1]
-    #          - sum_i H[i,m-1] (prod_{j=i+1..m-1} H[j,j-1]) P[i]
-    # with prod[i] maintained incrementally as m grows.
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    prod = np.ones(n, dtype=np.int64)
+    #   P_m = x P_{m-1} - sum_{i<m} H[i,m-1] (prod_{j=i+1..m-1} H[j,j-1]) P_i
+    # with prod[i] kept as m grows, prod[m-1] = 1.  P[:, c, i] holds the
+    # x^c coefficient of P_i, so that the sum is a product over P's
+    # contiguous rows; these arrays are small, so ``%`` reduces them
+    P.fill(0)
+    P[:, 0, 0] = 1
+    prod = np.ones((k, n, 1), dtype=np.int64)
     for m in range(1, n + 1):
         if m >= 2:
-            prod[: m - 1] = _mod(prod[: m - 1] * int(H[m - 1, m - 2]), p)
-        a = int(H[m - 1, m - 1])
-        P[m, 1 : m + 1] = P[m - 1, :m]
-        P[m, :m] = _mod(P[m, :m] - a * P[m - 1, :m], p)
-        if m >= 2:
-            w = _mod(H[: m - 1, m - 1] * prod[: m - 1], p)
-            if w.any():
-                P[m, :m] = _mod(P[m, :m] - _dot_mod(w, P[: m - 1, :m], p), p)
-    return P[n]
+            prod[:, : m - 1] = prod[:, : m - 1] * H[:, m - 1 : m, m - 2 : m - 1] % p
+        w = H[:, :m, m - 1 : m] * prod[:, :m] % p
+        col = P[:, : m + 1, m : m + 1]
+        col[:, 1:] = P[:, :m, m - 1 : m]
+        col[:, :m] = (col[:, :m] - _dot_mod(P[:, :m, :m], w, p)) % p
+    return list(P[:, :, n].copy())
 
 
 def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -246,6 +307,11 @@ def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 # as n grows.  The cutoff sits below it because a derogatory matrix runs
 # the whole Krylov batch and then the Hessenberg route for every prime.
 _KRYLOV_DENSITY = 0.3
+# A matrix of at most this order runs its Hessenberg primes in groups,
+# each of at most this many entries, so that a group's two (k, n, n)
+# arrays stay under 4 MB; above it, one prime at a time (module docstring)
+_HESSENBERG_GROUP_ORDER = 256
+_HESSENBERG_GROUP_ENTRIES = 1 << 18
 # Krylov vectors held at once
 _KRYLOV_BLOCK = 16
 # primes batched together gather at most this many terms per product, so
@@ -381,6 +447,20 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
     return [out[t] for t in range(k)]
 
 
+def _hessenberg_residues(a: np.ndarray, primes: list) -> list:
+    """The Hessenberg route for each of ``primes``.  Up to order
+    ``_HESSENBERG_GROUP_ORDER`` the primes run in groups of at most
+    ``_HESSENBERG_GROUP_ENTRIES`` entries, above it one prime at a time."""
+    n = a.shape[0]
+    size = 1
+    if n <= _HESSENBERG_GROUP_ORDER:
+        size = max(1, _HESSENBERG_GROUP_ENTRIES // (n * n))
+    out = []
+    for i in range(0, len(primes), size):
+        out += _hessenberg_charpoly_mod(a, primes[i : i + size])
+    return out
+
+
 def _residues(a: np.ndarray, primes: list) -> list:
     """The char poly of ``a`` modulo each prime, coefficients low to high.
 
@@ -388,21 +468,19 @@ def _residues(a: np.ndarray, primes: list) -> list:
     of at most ``_KRYLOV_TERMS`` gathered terms per product, and each
     prime's residue is then proven on its own: from the minimal
     polynomial m of its sequence at degree n, from m (x - lambda) at
-    degree n - 1, and from the Hessenberg route, for that prime alone,
-    when m falls shorter.  The module docstring says why each is exact.
-    A dense matrix takes the Hessenberg route for every prime.
+    degree n - 1, and from the Hessenberg route when m falls shorter,
+    all such primes together.  The module docstring says why each is
+    exact.  A dense matrix takes the Hessenberg route for every prime.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
     if nnz > _KRYLOV_DENSITY * n * n:
-        return [_hessenberg_charpoly_mod(a, p) for p in primes]
+        return _hessenberg_residues(a, primes)
     trace = sum(np.diagonal(a).tolist())
 
     def residue(deg, m, p):
         if deg == n:
             return m
-        if deg < n - 1:
-            return _hessenberg_charpoly_mod(a, p)
         lam = (trace + (int(m[-2]) if deg else 0)) % p
         res = np.zeros(n + 1, dtype=np.int64)
         res[1:] = m
@@ -414,7 +492,11 @@ def _residues(a: np.ndarray, primes: list) -> list:
     for i in range(0, len(primes), size):
         group = primes[i : i + size]
         found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
-        out += [residue(d, poly, p) for (d, poly), p in zip(found, group)]
+        out += [None if d < n - 1 else residue(d, m, p) for (d, m), p in zip(found, group)]
+    short = [p for p, res in zip(primes, out) if res is None]
+    if short:
+        fallback = iter(_hessenberg_residues(a, short))
+        out = [next(fallback) if res is None else res for res in out]
     return out
 
 

@@ -193,11 +193,19 @@ def char_poly_laplacian(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - (D - A)).
 
     For a d-regular graph this is the identity (-1)^n p_A(d - x), so it
-    costs no charpoly beyond the adjacency one.
+    costs no charpoly beyond the adjacency one.  Any other graph takes
+    the charpoly of L - cI, with c the mean degree 2m / n rounded half
+    up, and shifts it back: det(xI - L) = det((x - c) I - (L - cI)).
+    Its trace 2m - cn is at most n / 2 in absolute value, where L's own
+    trace 2m would void the budget's Parseval bound (``_exactpoly``),
+    and its squared entries sum to no more than L's, so it takes fewer
+    primes.
     """
     if g.n and g.is_regular():
         return _regular_laplacian(char_poly_adjacency(g), int(g.degrees()[0]))
-    return IntPolynomial(_exactpoly.charpoly(laplacian_matrix(g)))
+    c = (4 * g.num_edges + g.n) // (2 * g.n) if g.n else 0
+    shifted = _exactpoly.charpoly(laplacian_matrix(g) - c * np.eye(g.n, dtype=np.int64))
+    return IntPolynomial(_exactpoly.taylor_shift(shifted, -c))
 
 
 def _regular_laplacian(p: IntPolynomial, d: int) -> IntPolynomial:
@@ -241,8 +249,11 @@ def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
     symmetric, S X Q S = S Q X' S is (S X' Q S)^T, and it holds exactly
     when X Q = Q X', S being invertible, that is when X' = Q^-1 X Q is
     similar to X.  Each side costs O(n^2) in exact int64 arithmetic, and
-    Q itself is never formed.  A matrix left out is only not proven by
-    this certificate: the graphs may still share its spectrum.
+    Q itself is never formed.  Once A Q = Q A' holds, L = D - A gives
+    L Q - Q L' = D Q - Q D', so the Laplacians follow from the degrees
+    alone (``_degrees_commute``) and are built only when the adjacency
+    matrices fail.  A matrix left out is only not proven by this
+    certificate: the graphs may still share its spectrum.
     """
     n = g.n
     if not (plan.n == n == h.n):
@@ -256,14 +267,34 @@ def similarity_certificate(g: Graph, h: Graph, plan) -> frozenset:
     s = np.ones((n, 1), dtype=np.int64)
     for cls in plan.classes:
         s[list(cls)] = len(cls)
-    pairs = {
-        "adjacency": (g.adj.astype(np.int64), h.adj.astype(np.int64)),
-        "laplacian": (laplacian_matrix(g), laplacian_matrix(h)),
-    }
-    return frozenset(
-        name for name, (x, y) in pairs.items()
-        if np.array_equal(s * _times_qs(x, plan), (s * _times_qs(y, plan)).T)
-    )
+
+    def similar(x, y):
+        return np.array_equal(s * _times_qs(x, plan), (s * _times_qs(y, plan)).T)
+
+    if similar(g.adj.astype(np.int64), h.adj.astype(np.int64)):
+        if _degrees_commute(g.degrees(), h.degrees(), plan):
+            return frozenset({"adjacency", "laplacian"})
+        return frozenset({"adjacency"})
+    if similar(laplacian_matrix(g), laplacian_matrix(h)):
+        return frozenset({"laplacian"})
+    return frozenset()
+
+
+def _degrees_commute(d: np.ndarray, d2: np.ndarray, plan) -> bool:
+    """Whether diag(d) Q = Q diag(d2) for Q above.  Entry (u, v) reads
+    d_u Q_uv = Q_uv d2_v, and Q_uv is nonzero exactly for u = v off the
+    classes, for u != v in one class, and for u = v in a class unless it
+    has two vertices (2/2 - 1 = 0).  So a class of two must swap its
+    degrees, any other class must hold one degree on both sides, and a
+    vertex off the classes must keep its own."""
+    same = d == d2
+    for cls in plan.classes:
+        c = list(cls)
+        if len(c) == 2:
+            same[c] = d[c] == d2[c[::-1]]
+        else:
+            same[c] = len(set(d[c].tolist()) | set(d2[c].tolist())) == 1
+    return bool(same.all())
 
 
 @dataclass(frozen=True)

@@ -328,6 +328,58 @@ def test_pivot_swaps_agree_with_berkowitz(seed):
     assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
+@st.composite
+def prime_groups(draw):
+    """A matrix of order at most 12 and a group of 1-4 distinct primes, its
+    entries drawn partly from multiples of the group's primes, so that
+    some entries vanish modulo one prime of the group only."""
+    group = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    primes = [_prime(i) for i in group]
+    n = draw(st.integers(1, 12))
+    special = [0] + [m * q for q in primes for m in (1, -1, 2)]
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(special))
+    mat = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)), dtype=np.int64)
+    return mat.reshape(n, n), primes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=prime_groups())
+def test_hessenberg_group_residues_equal_berkowitz(case):
+    mat, primes = case
+    want = berkowitz_charpoly(mat)
+    residues = _hessenberg_charpoly_mod(mat, primes)
+    assert len(residues) == len(primes)
+    for res, p in zip(residues, primes):
+        assert res.tolist() == [c % p for c in want]
+
+
+@pytest.mark.parametrize(
+    "below,first", [([3], 1), ([0], 0)], ids=["pivots-differ", "one-has-none"]
+)
+def test_hessenberg_group_splits_where_pivots_differ(below, first, monkeypatch):
+    # column 0 holds p0 at row 1, which vanishes modulo p0 only: p1
+    # pivots on row 1, and p0 on row 2, or nowhere when row 2 holds 0
+    p0, p1 = _prime(0), _prime(1)
+    mat = np.array(
+        [[1, 2, 0, 1], [p0, 0, 1, 5], below + [1, 0, 2], [0, 4, 1, 3]], dtype=np.int64
+    )
+    calls = []
+    group = _exactpoly._hessenberg_group
+
+    def recording(H, primes, start):
+        calls.append((list(primes), start))
+        return group(H, primes, start)
+
+    monkeypatch.setattr(_exactpoly, "_hessenberg_group", recording)
+    residues = _hessenberg_charpoly_mod(mat, [p0, p1])
+    want = berkowitz_charpoly(mat)
+    assert [r.tolist() for r in residues] == [[c % p for c in want] for p in (p0, p1)]
+    # each part goes on alone from the same step, the part with no pivot
+    # or the nearer pivot row first
+    alone = [([p0], 0), ([p1], 0)]
+    assert calls == [([p0, p1], 0), alone[first], alone[1 - first]]
+
+
 def test_mod_equals_numpy_remainder():
     p = _prime(0)
     values = [2**62, -(2**62), 0, p, -p, p - 1, 1 - p, -1, 2**63 - 1, -(2**63)]
@@ -482,7 +534,7 @@ def test_krylov_residues_of_full_degree_equal_hessenberg(mat):
     for (deg, poly), p in zip(found, primes):
         assert deg <= n
         if deg == n:
-            assert poly.tolist() == _hessenberg_charpoly_mod(mat, p).tolist()
+            assert poly.tolist() == _hessenberg_charpoly_mod(mat, [p])[0].tolist()
     assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
@@ -508,7 +560,7 @@ def test_derogatory_matrices_fall_back_and_agree_with_berkowitz(name):
 @pytest.mark.parametrize("terms", [_exactpoly._KRYLOV_TERMS, 200, 1])
 def test_simple_spectrum_sparse_graph_never_takes_hessenberg(terms, monkeypatch):
     # a smaller cap on gathered terms splits the primes into more batches
-    def refuse(mat, p):
+    def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
     monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
@@ -525,7 +577,7 @@ def test_residues_of_degree_n_minus_1_are_completed_from_the_trace(shift, terms,
     # 21 and 19, so eigenvalue 0 twice and every other eigenvalue simple.
     # Its spectrum is symmetric, so the missing root is 0 = tr(A) + m_{n-2};
     # adding 3 I moves it to 3, which only the trace and m_{n-2} give.
-    def refuse(mat, p):
+    def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
     monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
@@ -551,13 +603,14 @@ def test_completed_residues_equal_hessenberg_on_bipartite_analyze_graphs():
         [(deg, _)] = _berlekamp_massey_mod(_krylov_sequences(mat, primes[:1], 2 * n), primes[:1], n)
         assert deg == n - 1
         residues = _residues(mat, primes)
-        for res, p in zip(residues, primes, strict=True):
-            assert res.tolist() == _hessenberg_charpoly_mod(mat, p).tolist()
+        hessenberg = _hessenberg_charpoly_mod(mat, primes)
+        for res, want in zip(residues, hessenberg, strict=True):
+            assert res.tolist() == want.tolist()
 
 
 def trace_routes(monkeypatch):
-    """Record each Krylov call, with its primes, and each Hessenberg call,
-    with its prime, in order."""
+    """Record each Krylov call and each Hessenberg call, with its primes,
+    in order."""
     calls = []
     krylov = _exactpoly._krylov_sequences
     hessenberg = _exactpoly._hessenberg_charpoly_mod
@@ -566,9 +619,9 @@ def trace_routes(monkeypatch):
         calls.append(("krylov", list(primes)))
         return krylov(mat, primes, N)
 
-    def traced_hessenberg(mat, p):
-        calls.append(("hessenberg", p))
-        return hessenberg(mat, p)
+    def traced_hessenberg(mat, primes):
+        calls.append(("hessenberg", list(primes)))
+        return hessenberg(mat, primes)
 
     monkeypatch.setattr(_exactpoly, "_krylov_sequences", traced_krylov)
     monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", traced_hessenberg)
@@ -584,7 +637,27 @@ def test_derogatory_sparse_graph_takes_one_krylov_batch_then_hessenberg(monkeypa
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
     assert len(primes) > 1
     assert charpoly(mat) == berkowitz_charpoly(mat)
-    assert calls == [("krylov", primes)] + [("hessenberg", p) for p in primes]
+    # every prime falls short, and all of them take one Hessenberg group
+    assert calls == [("krylov", primes), ("hessenberg", primes)]
+
+
+@pytest.mark.parametrize(
+    "order,entries", [(39, 1 << 18), (40, 2 * 40 * 40 - 1)],
+    ids=["above-the-order-cutoff", "past-the-entry-cap"],
+)
+def test_short_primes_run_alone_past_either_group_limit(order, entries, monkeypatch):
+    # the eight 5-cycles above, whose two primes take one group by default
+    monkeypatch.setattr(_exactpoly, "_HESSENBERG_GROUP_ORDER", order)
+    monkeypatch.setattr(_exactpoly, "_HESSENBERG_GROUP_ENTRIES", entries)
+    calls = trace_routes(monkeypatch)
+    g = cycle_graph(5)
+    for _ in range(7):
+        g = disjoint_union(g, cycle_graph(5))
+    mat = g.adj.astype(np.int64)
+    primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
+    assert len(primes) == 2
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+    assert calls == [("krylov", primes)] + [("hessenberg", [p]) for p in primes]
 
 
 def test_residues_take_one_krylov_call_per_prime_group(monkeypatch):
@@ -592,7 +665,7 @@ def test_residues_take_one_krylov_call_per_prime_group(monkeypatch):
     # gathered terms groups its 3 primes as two and one
     mat = path_graph(100).adj.astype(np.int64)
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
-    want = [_hessenberg_charpoly_mod(mat, p).tolist() for p in primes]
+    want = [r.tolist() for r in _hessenberg_charpoly_mod(mat, primes)]
     calls = trace_routes(monkeypatch)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", 400)
     assert [r.tolist() for r in _residues(mat, primes)] == want

@@ -183,6 +183,62 @@ def test_certificate_agrees_with_a_fraction_oracle(data):
         assert similarity_certificate(g, h, plan) == similar
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_degrees_commute_agrees_with_a_fraction_oracle(data):
+    # degrees from {0, 1, 2}, the second vector often a copy or a permutation
+    # of the first, so that both answers come up on classes of every size
+    n = data.draw(st.integers(min_value=1, max_value=9), label="n")
+    d = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    d2 = data.draw(
+        st.sampled_from(["copy", "permutation", "free"]), label="second"
+    )
+    if d2 == "copy":
+        d2 = d.copy()
+    elif d2 == "permutation":
+        d2 = d[data.draw(st.permutations(range(n)))]
+    else:
+        d2 = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    order = data.draw(st.permutations(range(n)), label="order")
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="sizes")
+    classes, at = [], 0
+    for m in sizes:
+        m = min(m, n - at)
+        if m:
+            classes.append(order[at:at + m])
+            at += m
+    plan = SwitchingPlan(n, classes)
+    q = fraction_switching_matrix(plan)
+    want = bool((np.diag(d.astype(object)) @ q == q @ np.diag(d2.astype(object))).all())
+    assert spectra._degrees_commute(d, d2, plan) == want
+
+
+def test_certificate_builds_laplacians_only_where_the_adjacency_fails(monkeypatch):
+    built = []
+    real = spectra.laplacian_matrix
+
+    def recording(g):
+        built.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(spectra, "laplacian_matrix", recording)
+    # a regular family pair, and an irregular pair whose switch swaps two
+    # vertices: both matrices proven, from the adjacency and the degrees
+    fi = edge_pair(6)
+    assert similarity_certificate(fi.gamma, fi.gamma_prime, fi.plan) == {
+        "adjacency", "laplacian"
+    }
+    assert pair_char_polys(fi).route == {"adjacency": "similarity", "laplacian": "identity"}
+    g = random_graph(np.random.default_rng(5), 14, 0.4)
+    plan = SwitchingPlan(14, [[0, 1]])
+    assert similarity_certificate(g, switch(g, plan), plan) == {"adjacency", "laplacian"}
+    assert built == []
+    # the tampered pair fails on its adjacency, so its Laplacians are checked
+    fi = tampered_vertex3()
+    assert not similarity_certificate(fi.gamma, fi.gamma_prime, fi.plan)
+    assert built == [fi.gamma.n, fi.gamma.n]
+
+
 def prime_classes_plan():
     """An admissible plan on the empty graph of order 379 = 3 + 5 + ... + 53
     whose classes have the odd primes up to 53 as sizes, so that no l below

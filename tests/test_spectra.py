@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from specpairs import (
     components,
     cospectral,
     cycle_graph,
+    decode_graph6,
     disjoint_union,
     empty_graph,
     generate_family,
@@ -30,7 +32,7 @@ from specpairs import (
     zero_root_multiplicity,
 )
 from specpairs import _exactpoly
-from specpairs._exactpoly import _dot_mod, _prime
+from specpairs._exactpoly import _coefficient_bound, _dot_mod, _prime, _primes_covering
 from specpairs.spectra import _times_power, _twin_classes
 from tests.conftest import random_graph
 
@@ -84,6 +86,46 @@ def test_known_laplacian_polynomials():
     assert char_poly_laplacian(complete_graph(2)).coeffs == (0, -2, 1)
     # L(K3): 0, 3, 3: x(x-3)^2 = x^3 - 6x^2 + 9x
     assert char_poly_laplacian(complete_graph(3)).coeffs == (0, 9, -6, 1)
+
+
+IRREGULAR = {
+    # 2m/n = 12/7, rounded to the shift c = 2
+    "path 7": path_graph(7),
+    # 2m/n = 6/4 = 1.5 exactly, which rounds up to 2
+    "path 4": path_graph(4),
+    "star K_1,8": complete_bipartite(1, 8),
+    "K_2,5": complete_bipartite(2, 5),
+    "K_5 and an isolated vertex": disjoint_union(complete_graph(5), empty_graph(1)),
+    "one vertex of degree 0 and one edge": disjoint_union(empty_graph(1), complete_graph(2)),
+}
+
+
+@pytest.mark.parametrize("name", IRREGULAR)
+def test_irregular_laplacian_is_the_shifted_charpoly_shifted_back(name):
+    g = IRREGULAR[name]
+    assert not g.is_regular()
+    assert char_poly_laplacian(g) == berkowitz_char_poly(laplacian_matrix(g))
+
+
+def test_irregular_laplacian_takes_fewer_primes(monkeypatch):
+    # graphs 11 and 17 of the benchmark's graph6-analyze input at seed 0
+    # (n = 182 and 210): L - 3I has trace 70 and 88, where L's own trace
+    # 2m = 616 and 718 leaves Parseval's bound nothing to gain
+    text = (Path(__file__).parent / "data" / "analyze_seed0_graphs_11_17.g6").read_text()
+    graphs = [decode_graph6(line) for line in text.split()]
+    before = [len(_primes_covering(2 * _coefficient_bound(laplacian_matrix(g)) + 1)) for g in graphs]
+    budgets = []
+
+    def recording(target):
+        budgets.append(len(_primes_covering(target)))
+        return _primes_covering(target)
+
+    monkeypatch.setattr(_exactpoly, "_primes_covering", recording)
+    polys = [char_poly_laplacian(g) for g in graphs]
+    assert before == [16, 18]
+    assert budgets == [9, 11]
+    for g, p in zip(graphs, polys):
+        assert p == IntPolynomial(_exactpoly.charpoly(laplacian_matrix(g)))
 
 
 def test_laplacian_matrix():
