@@ -80,6 +80,17 @@ independent route checks them:
   Above order ``_HESSENBERG_GROUP_ORDER`` = 256 each prime runs alone
   with a scalar p, and a group holds at most
   ``_HESSENBERG_GROUP_ENTRIES`` = 2^18 entries, which bounds its memory.
+  A matrix given with ``weights`` takes this route for every prime.  It
+  is similar to a real symmetric matrix, so its minimal polynomial has
+  one root per distinct eigenvalue, and its sequence's m, which divides
+  the minimal polynomial's reduction mod p, reaches degree n - 1 only
+  when at most one eigenvalue repeats, and only twice.  ``weights``
+  come only with twin quotients, of graphs built from twins, and those
+  quotients keep many repeated eigenvalues: on the quotients of the
+  edge family at k = 6, 8 and 10 (orders 29, 46 and 58, density just
+  under ``_KRYLOV_DENSITY``) every prime fell short, at degree 24, 38
+  and 46, after a Krylov batch that cost as much as the Hessenberg
+  route itself.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
@@ -471,6 +482,10 @@ def _residues(a: np.ndarray, primes: list) -> list:
     degree n - 1, and from the Hessenberg route when m falls shorter,
     all such primes together.  The module docstring says why each is
     exact.  A dense matrix takes the Hessenberg route for every prime.
+    ``charpoly`` does not call this for a matrix given with ``weights``:
+    the twin quotients that carry them repeat too many eigenvalues for
+    the Krylov route (module docstring), so their primes go straight to
+    ``_hessenberg_residues``.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
@@ -563,7 +578,8 @@ def charpoly(mat: np.ndarray, weights=None) -> list:
     symmetric.  Then mat is similar to the real symmetric matrix
     diag(w)^(1/2) mat diag(w)^(-1/2), whose squared entries sum to
     S' = sum_ij mat_ij mat_ji, and the prime budget takes S' in place
-    of the sum of mat's squared entries (module docstring).
+    of the sum of mat's squared entries; every prime then takes the
+    Hessenberg route (module docstring).
 
     Raises ValueError when the matrix is not square, when an entry
     does not fit in int64 (both routes and the bound read the int64
@@ -594,7 +610,10 @@ def charpoly(mat: np.ndarray, weights=None) -> list:
     if n == 0:
         return [1]
     primes_used = _primes_covering(2 * _coefficient_bound(a, S) + 1)
-    residues = _residues(a, primes_used)
+    if weights is None:
+        residues = _residues(a, primes_used)
+    else:
+        residues = _hessenberg_residues(a, primes_used)
 
     # incremental CRT, lifted to the symmetric range at the end
     coeffs = [int(r) for r in residues[0]]

@@ -184,7 +184,9 @@ def _whitney(fi, metrics):
 
 
 def _fiedler(fi, metrics):
-    computed = {}
+    """The interval is certified from the Laplacian polynomial alone, so
+    the sides of a pair with equal polynomials share one."""
+    computed, intervals = {}, {}
     spectra = metrics.spectra()
     for (which, g), lap in zip(metrics.graphs().items(), spectra.laplacian):
         kv = metrics.kappa(which)
@@ -192,7 +194,9 @@ def _fiedler(fi, metrics):
         if kv.value == 0 or complete:
             computed[which] = {"applicable": False}
             continue
-        iv = second_smallest_laplacian_eigenvalue(g, FIEDLER_TOL, lap)
+        if lap not in intervals:
+            intervals[lap] = second_smallest_laplacian_eigenvalue(g, FIEDLER_TOL, lap)
+        iv = intervals[lap]
         computed[which] = {
             "applicable": True,
             "mu2_lo": str(iv.lo),

@@ -12,7 +12,20 @@ identities allow (``pair_char_polys``): the Laplacian of a regular
 graph follows from its adjacency polynomial, a switched graph is
 certified similar to its source by the switching matrix, read from the
 plan's classes, and the line graph of a regular graph follows from the
-base graph's polynomial by Sachs' identity.
+base graph's polynomial by Sachs' identity.  Each identity runs once
+when both sides of the pair give it equal inputs.
+
+The line graph's Laplacian follows from the base graph's Laplacian
+polynomial mu_G.  Let G be d-regular with d >= 2, n vertices and
+m = nd/2 >= n edges, and B its n x m vertex-edge incidence matrix.
+Then B B^T = dI + A_G = 2dI - L_G and B^T B = 2I + A_L(G), and L(G) is
+(2d - 2)-regular, so L_L(G) = (2d - 2)I - A_L(G) = 2dI - B^T B.  B^T B
+and B B^T share their nonzero eigenvalues with multiplicity, and B^T B
+has m - n more zeros, so det(xI - B^T B) = x^(m - n) det(xI - B B^T)
+(Cvetkovic, Doob and Sachs, Spectra of Graphs).  Substituting 2d - x
+for x turns the first into (-1)^m det(xI - L_L(G)) and the second into
+(-1)^n (2d - x)^(m - n) mu_G(x), so
+det(xI - L_L(G)) = (x - 2d)^(m - n) mu_G(x).
 
 An adjacency charpoly itself runs on the graph's twin quotient when
 that removes at least two dimensions.  The
@@ -227,6 +240,13 @@ def _line_graph_poly(p: IntPolynomial, d: int, extra: int) -> IntPolynomial:
     )
 
 
+def _line_graph_laplacian(mu: IntPolynomial, d: int, extra: int) -> IntPolynomial:
+    """The Laplacian polynomial of the line graph of a d-regular graph
+    (d >= 2) with Laplacian polynomial mu and ``extra`` = m - n more
+    edges than vertices: (x - 2d)^(m - n) mu(x) (module docstring)."""
+    return IntPolynomial(_times_power(list(mu.coeffs), -2 * d, extra))
+
+
 def _times_qs(x: np.ndarray, plan) -> np.ndarray:
     """X Q S for an integer matrix X, with Q = (2/|C|)J - I on each class
     C of the plan and I elsewhere, and S = diag(s), s_v = |C| on C and 1
@@ -307,7 +327,8 @@ class PairSpectra:
     base graph: "charpoly" (each side computed directly), "similarity"
     (gamma_prime's taken from gamma's by ``similarity_certificate``) or
     "identity" (both derived from already proven polynomials, by the
-    regular Laplacian identity or by Sachs' line-graph identity).
+    regular Laplacian identity, by Sachs' line-graph identity or by the
+    line graph's Laplacian identity).
     The Laplacian pair is computed by ``prove_laplacian`` when it is
     first read, and kept.
     """
@@ -344,25 +365,36 @@ def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
     pair's proven polynomials (line-graph instances), else from one
     charpoly plus the plan's similarity certificate, else from two
     charpolys; a pair whose certificate fails therefore still gets its
-    true polynomials.  A regular pair's Laplacians follow from the
-    adjacency polynomials by identity, any other pair's from the
-    certificate or from two charpolys; they are computed only when
-    read.  ``base_spectra``, when given, is ``pair_char_polys(fi.base)``
-    already computed by the caller, and is used in place of proving the
-    base pair again.
+    true polynomials.  A line-graph instance's Laplacians follow from
+    the base pair's Laplacians, any other regular pair's from the
+    adjacency polynomials, both by identity; any other pair's come from
+    the certificate or from two charpolys.  Laplacians are computed only
+    when read.  Each identity runs once when both sides pass it equal
+    inputs, as a cospectral pair's sides do, and once per side when
+    they differ.  ``base_spectra``, when given, is
+    ``pair_char_polys(fi.base)`` already computed by the caller, and is
+    used in place of proving the base pair again.
     """
     g, h = fi.gamma, fi.gamma_prime
+
+    def each(identity, inputs):
+        first = identity(*inputs[0])
+        return first, first if inputs[1] == inputs[0] else identity(*inputs[1])
+
     similar = frozenset()
     if fi.plan is not None:
         similar = similarity_certificate(g, h, fi.plan)
-    if _sachs_applies(fi):
-        base = fi.base
+    sachs = _sachs_applies(fi)
+    if sachs:
         if base_spectra is None:
-            base_spectra = pair_char_polys(base)
-        proven = base_spectra.adjacency
-        adjacency = tuple(
-            _line_graph_poly(p, int(b.degrees()[0]), b.num_edges - b.n)
-            for p, b in zip(proven, (base.gamma, base.gamma_prime))
+            base_spectra = pair_char_polys(fi.base)
+        shapes = [
+            (int(b.degrees()[0]), b.num_edges - b.n)
+            for b in (fi.base.gamma, fi.base.gamma_prime)
+        ]
+        adjacency = each(
+            _line_graph_poly,
+            [(p, *shape) for p, shape in zip(base_spectra.adjacency, shapes)],
         )
         adj_route = "identity"
     elif "adjacency" in similar:
@@ -379,10 +411,15 @@ def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
         lap_route = "charpoly"
 
     def laplacian():
+        if sachs:
+            return each(
+                _line_graph_laplacian,
+                [(mu, *shape) for mu, shape in zip(base_spectra.laplacian, shapes)],
+            )
         if lap_route == "identity":
-            return tuple(
-                _regular_laplacian(p, int(x.degrees()[0]))
-                for p, x in zip(adjacency, (g, h))
+            return each(
+                _regular_laplacian,
+                [(p, int(x.degrees()[0])) for p, x in zip(adjacency, (g, h))],
             )
         p = char_poly_laplacian(g)
         return (p, p) if lap_route == "similarity" else (p, char_poly_laplacian(h))

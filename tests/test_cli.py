@@ -19,7 +19,7 @@ from specpairs import (
     line_graph,
     vertex_pair,
 )
-from specpairs import connectivity, families, spectra
+from specpairs import _exactpoly, cli, connectivity, families, spectra
 from specpairs import graph as graph_module
 from specpairs.cli import _CHECKS, _Metrics, _build_parser, _verify_report, main
 from specpairs.families import FAMILY_TAGS, ExpectedMetrics, FamilyInstance
@@ -138,6 +138,42 @@ def test_verify_reports_the_route_of_each_proof(capsys, schema):
         "fiedler": {"laplacian": "identity"},
         "linegraph": {"adjacency": "identity"},
     }
+
+
+def test_fiedler_certifies_one_interval_per_laplacian_polynomial(monkeypatch):
+    families_run = (
+        [("vertex", k) for k in range(2, 11)]
+        + [("edge", k) for k in range(6, 15, 2)]
+        + [("edge-variant4", None)]
+    )
+    intervals, roots = [], [0]
+    real_interval = cli.second_smallest_laplacian_eigenvalue
+    real_roots = _exactpoly.count_roots_greater
+
+    def interval(g, *args):
+        intervals.append(g.n)
+        return real_interval(g, *args)
+
+    def counting(*args):
+        roots[0] += 1
+        return real_roots(*args)
+
+    monkeypatch.setattr(cli, "second_smallest_laplacian_eigenvalue", interval)
+    monkeypatch.setattr(_exactpoly, "count_roots_greater", counting)
+    reports = []
+    for tag, k in families_run:
+        fi = generate_family(tag, k)
+        report = _verify_report(fi, ("fiedler",), None)
+        reports.append((fi, report["checks"][0]["computed"]))
+    # every pair is cospectral, so one interval per pair
+    assert len(intervals) == len(families_run) and roots[0] == 30
+    roots[0] = 0
+    for fi, computed in reports:
+        for which, g in (("gamma", fi.gamma), ("gamma_prime", fi.gamma_prime)):
+            alone = real_interval(g, cli.FIEDLER_TOL)
+            assert computed[which]["mu2_lo"] == str(alone.lo)
+            assert computed[which]["mu2_hi"] == str(alone.hi)
+    assert roots[0] == 60
 
 
 def test_kappa_of_a_line_family_names_its_flow_route(capsys, schema):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
@@ -13,13 +13,16 @@ from specpairs import (
     Graph,
     IntPolynomial,
     SwitchingPlan,
+    berkowitz_char_poly,
     char_poly_adjacency,
     char_poly_laplacian,
+    circulant,
     cycle_graph,
     edge_pair,
     empty_graph,
     edge_pair_variant4,
     laplacian_matrix,
+    line_graph,
     line_graph_family,
     pair_char_polys,
     path_graph,
@@ -304,6 +307,82 @@ def test_tampered_line_graph_pair_is_reported_different(vertex3):
     assert check["computed"]["adjacency"] is False
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_graph_laplacian_identity_equals_berkowitz(data):
+    # det(xI - L_L(G)) = (x - 2d)^(m - n) det(xI - L_G) for d-regular G, d >= 2
+    n = data.draw(st.integers(min_value=3, max_value=12), label="n")
+    jumps = data.draw(
+        st.lists(st.integers(1, n // 2), min_size=1, max_size=3, unique=True),
+        label="jumps",
+    )
+    g = circulant(n, jumps)
+    d = int(g.degrees()[0])
+    assume(d >= 2)
+    mu = berkowitz_char_poly(laplacian_matrix(g))
+    got = spectra._line_graph_laplacian(mu, d, g.num_edges - n)
+    assert got == berkowitz_char_poly(laplacian_matrix(line_graph(g)))
+
+
+def test_line_of_edge_6_laplacians_take_no_shift_at_the_line_order(monkeypatch, edge6):
+    lf = line_graph_family(edge6)
+    ps = pair_char_polys(lf)
+    lengths = []
+    real = _exactpoly.taylor_shift
+
+    def recording(coeffs, a):
+        lengths.append(len(coeffs))
+        return real(coeffs, a)
+
+    monkeypatch.setattr(_exactpoly, "taylor_shift", recording)
+    laplacian = ps.laplacian
+    assert lengths and max(lengths) <= 100
+    # the regular identity at order 338 gives the same pair
+    d = int(lf.gamma.degrees()[0])
+    assert laplacian == tuple(spectra._regular_laplacian(p, d) for p in ps.adjacency)
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to each named identity of ``spectra``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(spectra, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spectra, name, counting)
+    return calls
+
+
+IDENTITIES = ("_line_graph_poly", "_line_graph_laplacian", "_regular_laplacian")
+
+
+def test_each_identity_runs_once_for_a_cospectral_line_pair(monkeypatch, line_variant4):
+    calls = count_calls(monkeypatch, IDENTITIES)
+    ps = pair_char_polys(line_variant4)
+    ps.laplacian
+    assert calls == dict.fromkeys(IDENTITIES, 1)
+
+
+def test_each_side_runs_its_own_identity_when_the_inputs_differ(monkeypatch):
+    # a regular base pair that is not cospectral: C8(1, 2) and K4,4 = C8(1, 3)
+    g, h = circulant(8, [1, 2]), circulant(8, [1, 3])
+    base = FamilyInstance("toy", 0, g, h, None, {}, None)
+    lf = FamilyInstance(
+        "line-of-toy", 0, line_graph(g), line_graph(h), None, {}, None, base=base
+    )
+    calls = count_calls(monkeypatch, IDENTITIES)
+    ps = pair_char_polys(lf)
+    assert ps.route == {"adjacency": "identity", "laplacian": "identity"}
+    assert ps.adjacency[0] != ps.adjacency[1]
+    assert ps.laplacian[0] != ps.laplacian[1]
+    assert calls == dict.fromkeys(IDENTITIES, 2)
+    assert_direct(lf.gamma, ps.adjacency[0], ps.laplacian[0])
+    assert_direct(lf.gamma_prime, ps.adjacency[1], ps.laplacian[1])
+
+
 def test_linegraph_check_proves_the_base_pair_once(monkeypatch):
     calls = []
     real = spectra.similarity_certificate
@@ -332,8 +411,10 @@ def test_laplacians_are_proven_only_when_read(monkeypatch, vertex3):
     assert shifts == []
     assert ps.route == {"adjacency": "identity", "laplacian": "identity"}
     first = ps.laplacian
-    assert shifts == [10, 10]
-    assert ps.laplacian is first and shifts == [10, 10]
+    # the line graphs' Laplacians come from the base pair's, whose sides
+    # share one adjacency polynomial and one degree, so one shift in all
+    assert shifts == [6]
+    assert ps.laplacian is first and shifts == [6]
     # the linegraph check reads only the line graphs' adjacency polynomials
     shifts.clear()
     report = _verify_report(vertex3, ("linegraph",), None)

@@ -461,6 +461,29 @@ def test_quotient_takes_a_symmetrized_budget_only_past_one_twin_pair(monkeypatch
     assert calls == [(3, None), (2, [3, 4]), (1, [6])]
 
 
+def test_quotient_charpolys_take_no_krylov_batch(monkeypatch):
+    # the quotients of edge k = 6, 8, 10 and of the variant sit just under
+    # the Krylov density cutoff, and every prime's sequence falls short there
+    def refuse(mat, primes, N):
+        raise AssertionError("a weighted matrix ran the Krylov route")
+
+    calls = []
+    real = _exactpoly.charpoly
+
+    def recording(mat, weights=None):
+        got = real(mat, weights=weights)
+        calls.append((mat, got))
+        return got
+
+    monkeypatch.setattr(_exactpoly, "_krylov_sequences", refuse)
+    monkeypatch.setattr(_exactpoly, "charpoly", recording)
+    for tag, k in [("edge", 6), ("edge", 8), ("edge", 10), ("edge-variant4", None)]:
+        char_poly_adjacency(generate_family(tag, k).gamma)
+    assert [mat.shape[0] for mat, _ in calls] == [29, 46, 58, 22]
+    for mat, got in calls:
+        assert got == _exactpoly.berkowitz_charpoly(mat)
+
+
 def _times_power_one_factor_at_a_time(coeffs, a, k):
     # one linear factor per pass, the reference for the binomial product
     for _ in range(k):
