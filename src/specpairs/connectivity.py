@@ -33,12 +33,35 @@ fewer BFS passes than units of flow.
 
 Global connectivity reduces to few local runs (Esfahanian-Hakimi):
 
-* vertex: fix a lowest-index minimum-degree vertex v0; take the minimum
-  of kappa(v0, t) over non-neighbors t and kappa(u, w) over non-adjacent
-  pairs of neighbors of v0, seeded with the cut N(v0);
+* vertex: pick a pivot p of minimum degree delta; take the minimum of
+  kappa(p, t) over non-neighbors t (stage 1) and kappa(u, w) over
+  non-adjacent pairs of neighbors of p (stage 2), seeded with delta and
+  the cut N(v0) of v0, the lowest-index vertex of degree delta;
 * edge (Matula): the minimum of lambda(0, t) over t in a dominating set
   D that holds 0, seeded with the edge star of a lowest-index
   minimum-degree vertex; |D| - 1 runs instead of n - 1.
+
+Any pivot works.  Take a minimum separator S of a graph that is not
+complete.  If S misses p, some component of G - S misses p, and a
+vertex t in it is a non-neighbour of p with kappa(p, t) <= |S|.  If S
+holds p, S is minimal, so p has a neighbour in each component of G - S;
+two of them, u and w, are non-adjacent and kappa(u, w) <= |S|.  Every
+local value is at least kappa, so the minimum is kappa.  Only the seed
+needs a vertex of degree delta: N(v0) is a separator of size delta, and
+seeding with it rather than N(p) keeps the witness the pivot v0 gave
+when no pair falls below delta.
+
+The pivot is chosen by the pairs it saves.  Every pivot of degree delta
+has a = n - 1 - delta stage-1 pairs and s(p) = C(delta, 2) - e(N(p))
+stage-2 pairs, e(N(p)) being the edges among its neighbours.  A move
+changes which pair first reaches the least value, so it can cost flows
+as well as save pairs: with the fewest pairs as the only aim, Gamma' of
+the edge family at k = 14 ran 19 flows instead of 6.  So v0 stays unless
+some vertex of degree delta saves more than a pairs; see ``_pivot``.  On
+the vertex family v0 lies in the independent class X and a clique vertex
+has far fewer stage-2 pairs: at k = 10, Gamma runs 49 flows instead of
+173 and Gamma' 22 instead of 138.  The edge family, line graphs and
+sparse graphs keep v0.
 
 Matula's lemma makes D enough.  Let lambda < delta and take a minimum
 edge cut with sides S and T.  A side S with s vertices has degree sum
@@ -89,12 +112,13 @@ best only falls.  Before the run (r, t), ``_fan`` counts the
 neighbours of t in X, each the end of a one-edge path, and if they are
 fewer than best runs one flow capped at best from t into X.  On the
 split network that flow goes from node 2t+1 to the out-nodes 2x+1,
-whose one arc in each makes the ends distinct.  In stage 2 each u in
-N(v0) is its own root, and its X never takes N[v0]: a minimum
-separator may contain v0.  The line-graph route takes the neighbour
-count alone.  A certified pair's run is skipped.  That run would have
-reached its cap, and such a run changes neither best nor the witness,
-so every value and witness is the one that running every pair gives.
+whose one arc in each makes the ends distinct.  Stage 1 has the root
+p.  In stage 2 each u in N(p) is its own root, and its X never takes
+N[p]: a minimum separator may contain p.  The line-graph route takes
+the neighbour count alone.  A certified pair's run is skipped.  That
+run would have reached its cap, and such a run changes neither best nor
+the witness, so every value and witness is the one that running every
+pair gives.
 For the edge kind a certified t records (best, None), as a run stopped
 at its cap does, so the witness scan reads it unchanged.
 
@@ -376,6 +400,42 @@ def _fan(out, arcs_in, near: int, src: int, sinks: int, best: int) -> bool:
     return _flow(out, arcs_in, src, sinks, cap=best)[0] == best
 
 
+def _pivot(g: Graph, degs) -> int:
+    """The Esfahanian-Hakimi pivot of g, a graph that is not complete, with
+    minimum degree delta: v0, the lowest-index vertex of degree delta,
+    unless another vertex of degree delta saves more pairs than stage 1
+    holds.
+
+    Every pivot p of degree delta has a = n - 1 - delta stage-1 pairs and
+    s(p) = C(delta, 2) - e(N(p)) stage-2 pairs.  When s(v0) <= a, no vertex
+    can save more than a and v0 stays with no scan.  Otherwise p is the
+    vertex of degree delta with the least s, the lowest index on ties, and
+    it replaces v0 only if s(v0) - s(p) > a.  e(N(v)) is counted exactly:
+    half the sum, over the edges vu, of the popcount of rows[u] & rows[v].
+    """
+    v0 = int(degs.argmin())
+    delta = int(degs[v0])
+    rows = g.rows
+    a = g.n - 1 - delta
+    e0 = sum((rows[u] & rows[v0]).bit_count() for u in _bits(rows[v0])) // 2
+    if math.comb(delta, 2) - e0 <= a:
+        return v0
+    # the rows as 64-bit words, one array per word; each vertex of degree
+    # delta has its delta neighbours in one run of ``nbrs``
+    width = (g.n + 63) // 64
+    packed = b"".join(r.to_bytes(8 * width, "little") for r in rows)
+    words = np.frombuffer(packed, dtype="<u8").reshape(g.n, width).T.copy()
+    cand = np.flatnonzero(degs == delta)
+    nbrs = np.nonzero(g.adj[cand])[1]
+    ends = np.repeat(cand, delta)
+    twice = np.zeros(len(nbrs), dtype=np.int64)
+    for word in words:
+        twice += np.bitwise_count(word[ends] & word[nbrs])
+    twice = twice.reshape(len(cand), delta).sum(axis=1)  # 2 e(N(v))
+    best = int(twice.argmax())
+    return int(cand[best]) if int(twice[best]) // 2 - e0 > a else v0
+
+
 def vertex_connectivity(g: Graph) -> ConnectivityResult:
     """Exact vertex connectivity with a minimum separating set.
 
@@ -383,6 +443,16 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     is n-1 by convention and the witness is None.  A disconnected graph
     needs no scan of its own: some pair's sink lies in another component,
     so that flow is 0 and its final BFS crosses no arc, giving (0, ()).
+
+    The pairs are those of the pivot p that ``_pivot`` picks: the
+    non-neighbours of p, then the non-adjacent pairs of its neighbours.
+    Any pivot gives the value, since a minimum separator either misses p,
+    and then separates it from a non-neighbour, or holds it, and then
+    separates two of its neighbours (proof in the module docstring).  The
+    pivot is v0, the lowest-index vertex of minimum degree delta, unless a
+    vertex of degree delta has more than n - 1 - delta fewer stage-2
+    pairs.  The seed stays delta with the cut N(v0) whatever the pivot,
+    so a graph with kappa = delta keeps the witness N(v0).
 
     When g was built by ``line_graph``, the same pairs run as flows
     between edge ends on the plain network of ``g.base``, with g.base.n
@@ -397,11 +467,11 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     degs = g.degrees()
     v0 = int(degs.argmin())
     best = int(degs[v0])
-    nv0 = g.neighbors(v0)
-    best_cut = tuple(nv0)
+    best_cut = tuple(g.neighbors(v0))
+    p = _pivot(g, degs)
     adj = g.adj
-    pairs = [(v0, t) for t in range(n) if t != v0 and not adj[v0, t]]
-    pairs.extend((u, w) for u, w in combinations(nv0, 2) if not adj[u, w])
+    pairs = [(p, t) for t in range(n) if t != p and not adj[p, t]]
+    pairs.extend((u, w) for u, w in combinations(g.neighbors(p), 2) if not adj[u, w])
     linked = {}  # root -> its X: N[root] and the t settled for it
     if g.base is not None:
         # vertex i of g is edge i of g.base

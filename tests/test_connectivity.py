@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +33,7 @@ from specpairs import (
     vertex_pair,
     verify_disconnecting_set,
 )
-from specpairs.connectivity import _cut, _dominating_set, _fan, _flow, _network
+from specpairs.connectivity import _cut, _dominating_set, _fan, _flow, _network, _pivot
 from tests.conftest import random_graph
 
 
@@ -596,31 +597,46 @@ def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
 # -- fans into linked vertices ------------------------------------------------------
 
 
-def _esfahanian_hakimi_pairs(g):
-    """The pairs vertex_connectivity runs, in its order."""
-    v0 = int(g.degrees().argmin())
-    pairs = [(v0, t) for t in range(g.n) if t != v0 and not g.adj[v0, t]]
-    pairs += [(u, w) for u, w in combinations(g.neighbors(v0), 2) if not g.adj[u, w]]
+def _pairs_of(g, pivot):
+    """The Esfahanian-Hakimi pairs of ``pivot``, in vertex_connectivity's
+    order: (pivot, t) for each non-neighbour t, then the non-adjacent
+    pairs of its neighbours."""
+    pairs = [(pivot, t) for t in range(g.n) if t != pivot and not g.adj[pivot, t]]
+    pairs += [(u, w) for u, w in combinations(g.neighbors(pivot), 2) if not g.adj[u, w]]
     return pairs
 
 
-def _vertex_connectivity_every_pair(g):
-    """vertex_connectivity as the loop running every pair's flow computed it."""
+def _esfahanian_hakimi_pairs(g):
+    """The pairs vertex_connectivity runs, in its order: those of the
+    pivot that ``_pivot`` picks."""
+    return _pairs_of(g, _pivot(g, g.degrees()))
+
+
+def _vertex_connectivity_every_pair_of(g, pivot):
+    """vertex_connectivity as the loop running the flow of every pair of
+    ``pivot`` computed it, seeded with the cut N(v0)."""
     n = g.n
     if n <= 1 or g.num_edges == n * (n - 1) // 2:
         return ConnectivityResult(max(n - 1, 0), None, "vertex")
     v0 = int(g.degrees().argmin())
     best, cut = int(g.degrees()[v0]), tuple(g.neighbors(v0))
     out, arcs_in = _network(g)
-    for s, t in _esfahanian_hakimi_pairs(g):
+    for s, t in _pairs_of(g, pivot):
         value, _, seen = _flow(out, arcs_in, 1 << 2 * s + 1, 1 << 2 * t, cap=best)
         if value < best:
             best, cut = value, _cut(out, seen, split=True)
     return ConnectivityResult(best, cut, "vertex")
 
 
+def _vertex_connectivity_every_v0_pair(g):
+    """The reference: the loop over every pair of v0, the lowest-index
+    minimum-degree vertex."""
+    v0 = int(g.degrees().argmin()) if g.n else 0
+    return _vertex_connectivity_every_pair_of(g, v0)
+
+
 def _assert_matches_every_pair(g):
-    r, ref = vertex_connectivity(g), _vertex_connectivity_every_pair(g)
+    r, ref = vertex_connectivity(g), _vertex_connectivity_every_v0_pair(g)
     assert (r.value, r.witness) == (ref.value, ref.witness)
     return r
 
@@ -829,6 +845,165 @@ def test_kappa_of_the_edge_family_runs_few_flows(monkeypatch):
     monkeypatch.setattr("specpairs.connectivity._flow", counted)
     assert vertex_connectivity(g).value == 3
     assert calls <= 10
+
+
+def _flow_count(g, pivot=None):
+    """The ``_flow`` calls of vertex_connectivity(g), with its pivot forced
+    to ``pivot`` unless that is None."""
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return _flow(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("specpairs.connectivity._flow", counted)
+        if pivot is not None:
+            patch.setattr("specpairs.connectivity._pivot", lambda g, degs: pivot)
+        vertex_connectivity(g)
+    return calls
+
+
+# (Gamma, Gamma') flows of vertex_pair(k) with the pivot in the clique U; with
+# the pivot forced to v0 they are 48/43, 67/58, 89/75, 114/94, 142/115 and 173/138
+_VERTEX_FAMILY_FLOWS = {5: (24, 12), 6: (29, 14), 7: (34, 16), 8: (39, 18), 9: (44, 20), 10: (49, 22)}
+
+
+@pytest.mark.parametrize("k", sorted(_VERTEX_FAMILY_FLOWS))
+def test_the_vertex_family_pivots_into_the_clique_and_runs_fewer_flows(k):
+    fi = vertex_pair(k)
+    for g, pinned in zip((fi.gamma, fi.gamma_prime), _VERTEX_FAMILY_FLOWS[k]):
+        assert _pivot(g, g.degrees()) == fi.named["U"][0]
+        assert _flow_count(g) == pinned < _flow_count(g, pivot=0)
+
+
+def _steady_pivot_graphs():
+    """(graph, flows) where the pivot stays at v0, with the flows that
+    v0's pairs take there."""
+    cases = []
+    for k in range(6, 15, 2):
+        fi = edge_pair(k)
+        cases += [pytest.param(fi.gamma, 6, id=f"edge{k}"), pytest.param(fi.gamma_prime, 6, id=f"edge{k}'")]
+    fi = edge_pair_variant4()
+    cases += [pytest.param(fi.gamma, 9, id="variant4"), pytest.param(fi.gamma_prime, 8, id="variant4'")]
+    for label, base, flows in (("variant4", fi, (86, 56)), ("edge6", edge_pair(6), (325, 236))):
+        lf = line_graph_family(base)
+        cases += [
+            pytest.param(lf.gamma, flows[0], id=f"L({label})"),
+            pytest.param(lf.gamma_prime, flows[1], id=f"L({label})'"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("g,flows", _steady_pivot_graphs())
+def test_the_pivot_stays_at_v0_off_the_vertex_family(g, flows):
+    assert _pivot(g, g.degrees()) == int(g.degrees().argmin())
+    assert _flow_count(g) == flows
+
+
+def test_sparse_planted_graphs_keep_v0():
+    for g in _sparse_planted_graphs(1):
+        degs = g.degrees()
+        assert _pivot(g, degs) == int(degs.argmin())
+
+
+@pytest.mark.parametrize("k", [*range(2, 13), 20])
+def test_a_moved_pivot_keeps_the_vertex_family_witnesses(k):
+    # Gamma's witness is the seed cut N(v0), which stays; Gamma' reaches k + 1
+    # first at a pair whose least cut is the one v0's pairs found
+    fi = vertex_pair(k)
+    for g, kappa in ((fi.gamma, 2 * k), (fi.gamma_prime, k + 1)):
+        assert (_pivot(g, g.degrees()) != 0) == (k >= 5)
+        assert _assert_matches_every_pair(g).value == kappa
+
+
+def _clique_beside_an_independent_class(rng, x, u, r, q):
+    """Shaped like vertex_pair: an independent class X = [0, x), a clique U
+    on the next u vertices joined to all of X, and a random graph of density
+    q on the last r vertices, V, with no edge between U and V.  Then each
+    vertex of X takes random neighbours in V, and each vertex of V in V and
+    X - {0}, up to the degree u + x - 1 of U where room allows.  So v0 = 0,
+    and the vertices of U share its degree with a far denser neighbourhood."""
+    n = x + u + r
+    adj = np.zeros((n, n), dtype=bool)
+    adj[x : x + u, x : x + u] = ~np.eye(u, dtype=bool)
+    adj[:x, x : x + u] = adj[x : x + u, :x] = True
+    adj[x + u :, x + u :] = random_graph(rng, r, q).adj
+    vs = np.arange(x + u, n)
+    rooms = [(v, vs) for v in range(x)] + [(v, np.r_[1:x, vs]) for v in vs]
+    for v, room in rooms:
+        free = room[~adj[v, room] & (room != v)]
+        need = u + x - 1 - int(adj[v].sum())
+        if need > 0:
+            ends = rng.choice(free, size=min(need, len(free)), replace=False)
+            adj[v, ends] = adj[ends, v] = True
+    return Graph(n, adj)
+
+
+def _pivot_by_the_rule(g):
+    """The pivot rule read plainly, with s(v) = C(delta, 2) - e(N(v))
+    counted on adjacency submatrices: the vertex p of degree delta with the
+    least s, the lowest index on ties, if s(v0) - s(p) > n - 1 - delta."""
+    degs = g.degrees()
+    delta, v0 = int(degs.min()), int(degs.argmin())
+
+    def s(v):
+        nbrs = g.adj[v]
+        return math.comb(delta, 2) - int(g.adj[np.ix_(nbrs, nbrs)].sum()) // 2
+
+    p = min((v for v in range(g.n) if degs[v] == delta), key=s)
+    return p if s(v0) - s(p) > g.n - 1 - delta else v0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=5),
+    q=st.floats(min_value=0.0, max_value=0.6),
+    n=st.integers(min_value=2, max_value=24),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_the_pivot_follows_the_rule(x, q, n, p, seed, data):
+    # s(v0) - s(p) equals n - 1 - delta on about 9% of the planted graphs
+    u = data.draw(st.integers(min_value=3, max_value=(15 - x) // 2), label="u")
+    r = data.draw(st.integers(min_value=u + 1, max_value=16 - x - u), label="r")
+    rng = np.random.default_rng(seed)
+    for g in (_clique_beside_an_independent_class(rng, x, u, r, q), random_graph(rng, n, p)):
+        if g.num_edges < g.n * (g.n - 1) // 2:
+            assert _pivot(g, g.degrees()) == _pivot_by_the_rule(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=5),
+    q=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_every_minimum_degree_pivot_gives_the_value(x, q, seed, data):
+    # n <= 16; the rule moves the pivot into U on about 40% of these graphs,
+    # and each vertex of minimum degree, U's among them, is forced in turn
+    u = data.draw(st.integers(min_value=3, max_value=(15 - x) // 2), label="u")
+    r = data.draw(st.integers(min_value=u + 1, max_value=16 - x - u), label="r")
+    g = _clique_beside_an_independent_class(np.random.default_rng(seed), x, u, r, q)
+    ref = _vertex_connectivity_every_v0_pair(g)
+    assert brute_force_connectivity(g, "vertex", ref.value) == ref.value
+
+    def check(result, pivot):
+        assert result.value == ref.value
+        assert len(result.witness) == result.value
+        assert verify_disconnecting_set(g, result.witness)
+        # the fans keep every pair's witness from whichever pivot runs them
+        assert result == _vertex_connectivity_every_pair_of(g, pivot)
+
+    degs = g.degrees()
+    check(vertex_connectivity(g), _pivot(g, degs))
+    for pivot in map(int, np.flatnonzero(degs == degs.min())):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("specpairs.connectivity._pivot", lambda g, degs: pivot)
+            check(vertex_connectivity(g), pivot)
 
 
 # -- local path systems -----------------------------------------------------------
