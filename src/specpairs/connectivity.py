@@ -400,6 +400,17 @@ def _fan(out, arcs_in, near: int, src: int, sinks: int, best: int) -> bool:
     return _flow(out, arcs_in, src, sinks, cap=best)[0] == best
 
 
+def _twice_neighbourhood_edges(g: Graph, vs, delta: int) -> list:
+    """2 e(N(v)) for each vertex v of vs, all of degree delta: the sum,
+    over the neighbours u of v, of the popcount of rows[u] & rows[v]."""
+    rows = g.rows
+    nbrs = np.nonzero(g.adj[vs])[1].tolist()  # delta neighbours per v
+    return [
+        sum((rows[u] & rows[v]).bit_count() for u in nbrs[i * delta : (i + 1) * delta])
+        for i, v in enumerate(vs)
+    ]
+
+
 def _pivot(g: Graph, degs) -> int:
     """The Esfahanian-Hakimi pivot of g, a graph that is not complete, with
     minimum degree delta: v0, the lowest-index vertex of degree delta,
@@ -410,30 +421,17 @@ def _pivot(g: Graph, degs) -> int:
     s(p) = C(delta, 2) - e(N(p)) stage-2 pairs.  When s(v0) <= a, no vertex
     can save more than a and v0 stays with no scan.  Otherwise p is the
     vertex of degree delta with the least s, the lowest index on ties, and
-    it replaces v0 only if s(v0) - s(p) > a.  e(N(v)) is counted exactly:
-    half the sum, over the edges vu, of the popcount of rows[u] & rows[v].
+    it replaces v0 only if s(v0) - s(p) > a.
     """
-    v0 = int(degs.argmin())
-    delta = int(degs[v0])
-    rows = g.rows
+    cand = np.flatnonzero(degs == degs.min()).tolist()
+    v0, delta = cand[0], int(degs[cand[0]])
     a = g.n - 1 - delta
-    e0 = sum((rows[u] & rows[v0]).bit_count() for u in _bits(rows[v0])) // 2
+    e0 = _twice_neighbourhood_edges(g, [v0], delta)[0] // 2
     if math.comb(delta, 2) - e0 <= a:
         return v0
-    # the rows as 64-bit words, one array per word; each vertex of degree
-    # delta has its delta neighbours in one run of ``nbrs``
-    width = (g.n + 63) // 64
-    packed = b"".join(r.to_bytes(8 * width, "little") for r in rows)
-    words = np.frombuffer(packed, dtype="<u8").reshape(g.n, width).T.copy()
-    cand = np.flatnonzero(degs == delta)
-    nbrs = np.nonzero(g.adj[cand])[1]
-    ends = np.repeat(cand, delta)
-    twice = np.zeros(len(nbrs), dtype=np.int64)
-    for word in words:
-        twice += np.bitwise_count(word[ends] & word[nbrs])
-    twice = twice.reshape(len(cand), delta).sum(axis=1)  # 2 e(N(v))
-    best = int(twice.argmax())
-    return int(cand[best]) if int(twice[best]) // 2 - e0 > a else v0
+    twice = _twice_neighbourhood_edges(g, cand, delta)
+    best = max(range(len(cand)), key=twice.__getitem__)  # first of the most
+    return cand[best] if twice[best] // 2 - e0 > a else v0
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityResult:

@@ -577,11 +577,9 @@ def test_lazy_dominating_set_equals_the_rescoring_greedy(n, seed, p):
     assert _dominating_set(nbrs) == _dominating_set_rescoring_every_vertex(nbrs)
 
 
-def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
-    # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
-    # every t ran 683 flows
-    g = line_graph(edge_pair(8).gamma)
-    dom = _dominating_set(g.rows)
+def _flow_count(g, connectivity=vertex_connectivity, pivot=None):
+    """connectivity(g) and its ``_flow`` calls, with vertex_connectivity's
+    pivot forced to ``pivot`` unless that is None."""
     calls = 0
 
     def counted(*args, **kwargs):
@@ -589,8 +587,21 @@ def test_edge_connectivity_runs_one_flow_per_dominating_vertex(monkeypatch):
         calls += 1
         return _flow(*args, **kwargs)
 
-    monkeypatch.setattr("specpairs.connectivity._flow", counted)
-    assert edge_connectivity(g).value == int(g.degrees().min())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("specpairs.connectivity._flow", counted)
+        if pivot is not None:
+            patch.setattr("specpairs.connectivity._pivot", lambda g, degs: pivot)
+        result = connectivity(g)
+    return result, calls
+
+
+def test_edge_connectivity_runs_one_flow_per_dominating_vertex():
+    # L(edge_pair(8).gamma) has n = 684 and lambda = delta; the loop over
+    # every t ran 683 flows
+    g = line_graph(edge_pair(8).gamma)
+    dom = _dominating_set(g.rows)
+    result, calls = _flow_count(g, edge_connectivity)
+    assert result.value == int(g.degrees().min())
     assert calls == len(dom) - 1 == 32
 
 
@@ -831,38 +842,12 @@ def test_a_certified_pair_reaches_its_cap(n, seed, p, hubs):
                 assert _flow(*plain, 1, src, cap=best)[0] == best
 
 
-def test_kappa_of_the_edge_family_runs_few_flows(monkeypatch):
+def test_kappa_of_the_edge_family_runs_few_flows():
     # edge_pair(14).gamma has n = 132 and kappa = 3; running every pair's
     # flow took 271 flows
-    g = edge_pair(14).gamma
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return _flow(*args, **kwargs)
-
-    monkeypatch.setattr("specpairs.connectivity._flow", counted)
-    assert vertex_connectivity(g).value == 3
+    result, calls = _flow_count(edge_pair(14).gamma)
+    assert result.value == 3
     assert calls <= 10
-
-
-def _flow_count(g, pivot=None):
-    """The ``_flow`` calls of vertex_connectivity(g), with its pivot forced
-    to ``pivot`` unless that is None."""
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return _flow(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("specpairs.connectivity._flow", counted)
-        if pivot is not None:
-            patch.setattr("specpairs.connectivity._pivot", lambda g, degs: pivot)
-        vertex_connectivity(g)
-    return calls
 
 
 # (Gamma, Gamma') flows of vertex_pair(k) with the pivot in the clique U; with
@@ -875,12 +860,17 @@ def test_the_vertex_family_pivots_into_the_clique_and_runs_fewer_flows(k):
     fi = vertex_pair(k)
     for g, pinned in zip((fi.gamma, fi.gamma_prime), _VERTEX_FAMILY_FLOWS[k]):
         assert _pivot(g, g.degrees()) == fi.named["U"][0]
-        assert _flow_count(g) == pinned < _flow_count(g, pivot=0)
+        assert _flow_count(g)[1] == pinned < _flow_count(g, pivot=0)[1]
+
+
+# flows of the 20 graphs of _sparse_planted_graphs(1), all from v0
+_SPARSE_PLANTED_FLOWS = (99, 61, 26, 69, 35, 68, 39, 75, 116, 83, 42, 87, 41, 92, 40, 94, 148, 101, 54, 104)
 
 
 def _steady_pivot_graphs():
     """(graph, flows) where the pivot stays at v0, with the flows that
-    v0's pairs take there."""
+    v0's pairs take there: the edge family, the variant, both line-graph
+    pairs and the sparse planted graphs."""
     cases = []
     for k in range(6, 15, 2):
         fi = edge_pair(k)
@@ -893,19 +883,15 @@ def _steady_pivot_graphs():
             pytest.param(lf.gamma, flows[0], id=f"L({label})"),
             pytest.param(lf.gamma_prime, flows[1], id=f"L({label})'"),
         ]
+    for i, (g, flows) in enumerate(zip(_sparse_planted_graphs(1), _SPARSE_PLANTED_FLOWS)):
+        cases.append(pytest.param(g, flows, id=f"sparse{i}"))
     return cases
 
 
 @pytest.mark.parametrize("g,flows", _steady_pivot_graphs())
 def test_the_pivot_stays_at_v0_off_the_vertex_family(g, flows):
     assert _pivot(g, g.degrees()) == int(g.degrees().argmin())
-    assert _flow_count(g) == flows
-
-
-def test_sparse_planted_graphs_keep_v0():
-    for g in _sparse_planted_graphs(1):
-        degs = g.degrees()
-        assert _pivot(g, degs) == int(degs.argmin())
+    assert _flow_count(g)[1] == flows
 
 
 @pytest.mark.parametrize("k", [*range(2, 13), 20])
