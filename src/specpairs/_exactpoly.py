@@ -40,12 +40,13 @@ matrix similar to A.  With ``charpoly``'s ``weights``, positive integers
 w with diag(w) A symmetric (checked), A is similar to the symmetric
 diag(w)^(1/2) A diag(w)^(-1/2), whose (i, j) entry squared is
 a_ij a_ji; the budget then takes S' = sum_ij a_ij a_ji, which is at
-most S.  Each residue comes from one of two routes, and a third,
-independent route checks them:
+most S.  ``weights`` set nothing else.  Each residue comes from one of
+two routes, which ``_residues`` picks from the matrix alone, and a
+third, independent route checks them:
 
-* Krylov / Berlekamp-Massey, for sparse matrices.  The sequence
-  s_i = v^T A^i v mod p, for a fixed start vector v, satisfies the
-  recurrence of det(xI - A) by Cayley-Hamilton, so its minimal
+* Krylov / Berlekamp-Massey, for symmetric sparse matrices.  The
+  sequence s_i = v^T A^i v mod p, for a fixed start vector v, satisfies
+  the recurrence of det(xI - A) by Cayley-Hamilton, so its minimal
   polynomial m has degree at most n and divides det(xI - A) mod p.
   Berlekamp-Massey on its first 2n terms returns m exactly.  If
   deg m = n, then m = det(xI - A) mod p, both being monic of degree n.
@@ -59,38 +60,34 @@ independent route checks them:
   route.  The primes run through the Krylov route together, with no
   separate trial prime, and each prime's residue is proven on its own,
   so one prime's short m sends only that prime to the Hessenberg
-  route.  v is given by a formula, with no
-  random state: the input decides only which route proves a residue,
-  never the residue.  One product A x costs a gather over the nonzero
-  entries, so a prime costs O(n nnz).
+  route.  v is given by a formula, with no random state: the input
+  decides only which route proves a residue, never the residue.  One
+  product A x costs a gather over the nonzero entries, so a prime costs
+  O(n nnz).
 
-* Hessenberg, for every other residue.  Reduce to Hessenberg form
-  modulo p (similarity transforms only) and run the leading-minor
-  recurrence, O(n^3) per prime.  The primes run in groups, each one
-  (k, n, n) array, so that each of a prime's 2n steps takes its numpy
-  calls once for all k primes; at the orders of the paper's twin
-  quotients (22 to 82) those calls, not the arithmetic, are most of the
-  time.  A group's primes must pivot on the same row, so a group splits
-  at the step where an entry vanishes modulo some of its primes only.
-  A group divides by a (k, 1, 1) array of primes, which numpy does more
-  slowly than by one scalar (libdivide), so grouping pays less as the
-  order grows and the arithmetic takes over: measured on the paper's
-  quotients, groups took 0.4 to 0.55 of the time of one prime at a time
-  at orders 58 to 118, 0.7 to 0.95 at 130 to 262 and the same at 298.
-  Above order ``_HESSENBERG_GROUP_ORDER`` = 256 each prime runs alone
-  with a scalar p, and a group holds at most
-  ``_HESSENBERG_GROUP_ENTRIES`` = 2^18 entries, which bounds its memory.
-  A matrix given with ``weights`` takes this route for every prime.  It
-  is similar to a real symmetric matrix, so its minimal polynomial has
-  one root per distinct eigenvalue, and its sequence's m, which divides
-  the minimal polynomial's reduction mod p, reaches degree n - 1 only
-  when at most one eigenvalue repeats, and only twice.  ``weights``
-  come only with twin quotients, of graphs built from twins, and those
-  quotients keep many repeated eigenvalues: on the quotients of the
-  edge family at k = 6, 8 and 10 (orders 29, 46 and 58, density just
-  under ``_KRYLOV_DENSITY``) every prime fell short, at degree 24, 38
-  and 46, after a Krylov batch that cost as much as the Hessenberg
-  route itself.
+* Hessenberg, for every other residue: every prime of a dense or a
+  non-symmetric matrix, and each Krylov prime that falls short.  A
+  non-symmetric matrix would pay one product per term of its sequence,
+  2n per prime, where a symmetric one pays n; the twin quotients, the
+  only non-symmetric matrices the paper needs, also keep many repeated
+  eigenvalues, so their sequences would fall short (on the edge family's
+  quotients at k = 6, 8 and 10, of orders 29, 46 and 58, every prime
+  did, at degree 24, 38 and 46).  Reduce to Hessenberg form modulo p
+  (similarity transforms only) and run the leading-minor recurrence,
+  O(n^3) per prime.  The primes run in groups, each one (k, n, n) array,
+  so that each of a prime's 2n steps takes its numpy calls once for all
+  k primes; at the orders of the paper's twin quotients (22 to 82) those
+  calls, not the arithmetic, are most of the time.  A group's primes
+  must pivot on the same row, so a group splits at the step where an
+  entry vanishes modulo some of its primes only.  A group divides by a
+  (k, 1, 1) array of primes, which numpy does more slowly than by one
+  scalar (libdivide), so grouping pays less as the order grows and the
+  arithmetic takes over: measured on the paper's quotients, groups took
+  0.4 to 0.55 of the time of one prime at a time at orders 58 to 118,
+  0.7 to 0.95 at 130 to 262 and the same at 298.  Above order
+  ``_HESSENBERG_GROUP_ORDER`` = 256 each prime runs alone with a scalar
+  p, and a group holds at most ``_HESSENBERG_GROUP_ENTRIES`` = 2^18
+  entries, which bounds its memory.
 
 * ``berkowitz_charpoly``: a short division-free recurrence in plain
   Python integers.  Cubic per minor and far slower, but it shares no
@@ -207,24 +204,15 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p):
     return total
 
 
-def _hessenberg_charpoly_mod(mat: np.ndarray, primes: list) -> list:
-    """Char poly of ``mat`` modulo each of ``primes``, coefficients low to
-    high, with the primes reduced together in one (k, n, n) array.
+def _hessenberg_group(H: np.ndarray, primes: list, start: int) -> list:
+    """Char poly of H[t] modulo each primes[t], coefficients low to high,
+    with H[t] reduced mod primes[t] and already in Hessenberg form in its
+    first ``start`` columns.
 
     Reduces to upper Hessenberg form by similarity (row eliminations
     mirrored by column operations), then runs the standard recurrence on
     leading principal minors of xI - H.  A group of one prime reduces
     with a scalar p, which ``_mod`` divides by fastest.
-    """
-    n = mat.shape[0]
-    H = np.empty((len(primes), n, n), dtype=np.int64)
-    np.remainder(mat, np.array(primes, dtype=np.int64)[:, None, None], out=H)
-    return _hessenberg_group(H, primes, 0)
-
-
-def _hessenberg_group(H: np.ndarray, primes: list, start: int) -> list:
-    """``_hessenberg_charpoly_mod`` of H[t] modulo primes[t], with H[t]
-    already in Hessenberg form in its first ``start`` columns.
 
     Every prime of the group takes the same pivot row, so a swap is one
     slice for all of them.  Where the first nonzero entry below the
@@ -311,12 +299,13 @@ def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return total
 
 
-# A matrix tries the Krylov route when at most this share of its entries
-# is nonzero.  On random symmetric 0/1 matrices of full degree the two
-# routes cost the same at about 0.45 for n = 338 and n = 500, and Krylov
-# takes 0.49 and 0.72 of the Hessenberg time at 0.3; the crossover falls
-# as n grows.  The cutoff sits below it because a derogatory matrix runs
-# the whole Krylov batch and then the Hessenberg route for every prime.
+# A symmetric matrix tries the Krylov route when at most this share of
+# its entries is nonzero.  On random symmetric 0/1 matrices of full
+# degree the two routes cost the same at about 0.45 for n = 338 and
+# n = 500, and Krylov takes 0.49 and 0.72 of the Hessenberg time at 0.3;
+# the crossover falls as n grows.  The cutoff sits below it because a
+# derogatory matrix runs the whole Krylov batch and then the Hessenberg
+# route for every prime.
 _KRYLOV_DENSITY = 0.3
 # A matrix of at most this order runs its Hessenberg primes in groups,
 # each of at most this many entries, so that a group's two (k, n, n)
@@ -339,16 +328,17 @@ def _krylov_start(n: int) -> np.ndarray:
 
 
 def _krylov_sequences(mat: np.ndarray, primes: list, N: int) -> np.ndarray:
-    """s[t, i] = v^T mat^i v mod primes[t] for i < N, v = _krylov_start(n).
+    """s[t, i] = v^T mat^i v mod primes[t] for i < N, v = _krylov_start(n),
+    for a symmetric mat.
 
     All primes advance together in one (k, n) array.  The product
     mat @ x is a CSR gather over the nonzero entries and an
     ``np.add.reduceat`` over each row.  Entry products are reduced mod p
     before the row sums (0/1 matrices need no product), so a row sum adds
     at most n residues below 2^27, exact in int64 for n < 2^36; dot
-    products go through ``_rowdot_mod``.  For symmetric mat each product
-    gives two terms, s_2i = x_i . x_i and s_2i+1 = x_i . x_i+1 with
-    x_i = mat^i v.
+    products go through ``_rowdot_mod``.  Since mat is symmetric, each
+    product gives two terms, s_2i = x_i . x_i and s_2i+1 = x_i . x_i+1
+    with x_i = mat^i v.
     """
     n = mat.shape[0]
     p = np.array(primes, dtype=np.int64)
@@ -374,21 +364,16 @@ def _krylov_sequences(mat: np.ndarray, primes: list, N: int) -> np.ndarray:
 
     # x_0 .. x_M, kept a block at a time so that their dot products take
     # one call per block
-    symmetric = np.array_equal(mat, mat.T)
-    M = (N + 1) // 2 if symmetric else N
-    s = np.empty((len(p), 2 * M if symmetric else M), dtype=np.int64)
+    M = (N + 1) // 2
+    s = np.empty((len(p), 2 * M), dtype=np.int64)
     X = np.empty((len(p), _KRYLOV_BLOCK + 1, n), dtype=np.int64)
     X[:, 0] = _krylov_start(n)[None, :] % P
-    v = X[:, :1].copy()
     for b in range(0, M, _KRYLOV_BLOCK):
         h = min(_KRYLOV_BLOCK, M - b)
         for j in range(h):
             X[:, j + 1] = product(X[:, j])
-        if symmetric:
-            s[:, 2 * b : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, :h], P)
-            s[:, 2 * b + 1 : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, 1 : h + 1], P)
-        else:
-            s[:, b : b + h] = _rowdot_mod(v, X[:, :h], P)
+        s[:, 2 * b : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, :h], P)
+        s[:, 2 * b + 1 : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, 1 : h + 1], P)
         X[:, 0] = X[:, h]
     return s[:, :N]
 
@@ -406,9 +391,8 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
     can follow, L and the recurrence are final, and the scan stops.
 
     The rows run as one batch while their discrepancies are all zero or
-    all nonzero, which makes every branch the same for all of them.  A
-    row whose discrepancy alone is zero leaves the batch and runs again
-    by itself.
+    all nonzero, which makes every branch the same for all of them.  At
+    the first step where they disagree, every row runs again by itself.
     """
     # the connection polynomial c_0 + c_1 y + ... + c_L y^L is stored
     # reversed at the end of each row of C, c_i in C[:, K - i], so that
@@ -422,21 +406,17 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
     B = C.copy()
     C[:, K] = B[:, K] = 1
     b = np.ones((k, 1), dtype=np.int64)
-    batch = np.arange(k)  # the rows of s still in the batch, and their terms
-    seq = s
-    alone = []
     L, lb, m = 0, 1, 1  # lb: length of B
     for N in range(K):
-        d = _rowdot_mod(C[:, K - L :], seq[:, N - L : N + 1], p)
+        d = _rowdot_mod(C[:, K - L :], s[:, N - L : N + 1], p)
         nonzero = np.count_nonzero(d)
         if nonzero == 0:
             m += 1
+        elif nonzero < k:
+            return [
+                _berlekamp_massey_mod(s[t : t + 1], [q], n)[0] for t, q in enumerate(primes)
+            ]
         else:
-            if nonzero < len(d):
-                keep = d != 0
-                alone += batch[~keep].tolist()
-                batch, seq, p, d = batch[keep], seq[keep], p[keep], d[keep]
-                b, C, B = b[keep], C[keep], B[keep]
             lo = min(K + 1 - m - lb, K - L)
             if 2 * L <= N:
                 T = C[:, K - L :].copy()
@@ -452,44 +432,45 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
             break
     lead = [pow(int(c), -1, int(q)) for c, q in zip(C[:, K], p)]
     polys = C[:, K - L :] * np.array(lead, dtype=np.int64)[:, None] % p[:, None]
-    out = dict(zip(batch.tolist(), [(L, row) for row in polys]))
-    for t in alone:
-        out[t] = _berlekamp_massey_mod(s[t : t + 1], [primes[t]], n)[0]
-    return [out[t] for t in range(k)]
+    return [(L, row) for row in polys]
 
 
 def _hessenberg_residues(a: np.ndarray, primes: list) -> list:
     """The Hessenberg route for each of ``primes``.  Up to order
     ``_HESSENBERG_GROUP_ORDER`` the primes run in groups of at most
-    ``_HESSENBERG_GROUP_ENTRIES`` entries, above it one prime at a time."""
+    ``_HESSENBERG_GROUP_ENTRIES`` entries, above it one prime at a time;
+    each group reduces ``a`` into one (k, n, n) array."""
     n = a.shape[0]
     size = 1
     if n <= _HESSENBERG_GROUP_ORDER:
         size = max(1, _HESSENBERG_GROUP_ENTRIES // (n * n))
     out = []
     for i in range(0, len(primes), size):
-        out += _hessenberg_charpoly_mod(a, primes[i : i + size])
+        group = primes[i : i + size]
+        H = np.empty((len(group), n, n), dtype=np.int64)
+        np.remainder(a, np.array(group, dtype=np.int64)[:, None, None], out=H)
+        out += _hessenberg_group(H, group, 0)
     return out
 
 
 def _residues(a: np.ndarray, primes: list) -> list:
     """The char poly of ``a`` modulo each prime, coefficients low to high.
 
-    A sparse matrix runs every prime through the Krylov route, in batches
-    of at most ``_KRYLOV_TERMS`` gathered terms per product, and each
-    prime's residue is then proven on its own: from the minimal
-    polynomial m of its sequence at degree n, from m (x - lambda) at
-    degree n - 1, and from the Hessenberg route when m falls shorter,
-    all such primes together.  The module docstring says why each is
-    exact.  A dense matrix takes the Hessenberg route for every prime.
-    ``charpoly`` does not call this for a matrix given with ``weights``:
-    the twin quotients that carry them repeat too many eigenvalues for
-    the Krylov route (module docstring), so their primes go straight to
-    ``_hessenberg_residues``.
+    The only place that picks a route, from the matrix alone.  A
+    symmetric matrix with at most ``_KRYLOV_DENSITY`` of its entries
+    nonzero runs every prime through the Krylov route, in batches of at
+    most ``_KRYLOV_TERMS`` gathered terms per product, and each prime's
+    residue is then proven on its own: from the minimal polynomial m of
+    its sequence at degree n, from m (x - lambda) at degree n - 1, and
+    from the Hessenberg route when m falls shorter, all such primes
+    together.  Every other matrix, dense or not symmetric, takes the
+    Hessenberg route for every prime: a non-symmetric matrix would pay
+    one product per term, 2n per prime, in place of n.  The module
+    docstring says why each residue is exact.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
-    if nnz > _KRYLOV_DENSITY * n * n:
+    if nnz > _KRYLOV_DENSITY * n * n or not np.array_equal(a, a.T):
         return _hessenberg_residues(a, primes)
     trace = sum(np.diagonal(a).tolist())
 
@@ -578,8 +559,8 @@ def charpoly(mat: np.ndarray, weights=None) -> list:
     symmetric.  Then mat is similar to the real symmetric matrix
     diag(w)^(1/2) mat diag(w)^(-1/2), whose squared entries sum to
     S' = sum_ij mat_ij mat_ji, and the prime budget takes S' in place
-    of the sum of mat's squared entries; every prime then takes the
-    Hessenberg route (module docstring).
+    of the sum of mat's squared entries.  The route of each residue
+    depends on mat alone (``_residues``).
 
     Raises ValueError when the matrix is not square, when an entry
     does not fit in int64 (both routes and the bound read the int64
@@ -610,10 +591,7 @@ def charpoly(mat: np.ndarray, weights=None) -> list:
     if n == 0:
         return [1]
     primes_used = _primes_covering(2 * _coefficient_bound(a, S) + 1)
-    if weights is None:
-        residues = _residues(a, primes_used)
-    else:
-        residues = _hessenberg_residues(a, primes_used)
+    residues = _residues(a, primes_used)
 
     # incremental CRT, lifted to the symmetric range at the end
     coeffs = [int(r) for r in residues[0]]

@@ -129,7 +129,7 @@ def _cospectral(fi, metrics):
         "digest_laplacian": [pl.digest(), pl2.digest()],
     }
     if pa == pa2:
-        computed["char_poly_adjacency"] = [str(c) for c in pa.coeffs]
+        computed["char_poly_adjacency"] = pa.decimals()
     ok = pa == pa2 and pl == pl2
     detail = "adjacency and laplacian spectra agree" if ok else "spectra differ"
     expected = {"adjacency": True, "laplacian": True}
@@ -506,7 +506,7 @@ def cmd_analyze(args) -> int:
             },
         }
         if args.polys:
-            entry["char_poly_adjacency"] = [str(c) for c in pa.coeffs]
+            entry["char_poly_adjacency"] = pa.decimals()
         entries.append(entry)
     report = {"report": "analyze", "seed": args.seed, "graphs": entries}
     lines = []

@@ -356,7 +356,10 @@ def edge_pair_variant4() -> FamilyInstance:
 # line graphs are built to prove their vertex connectivity by max-flow on
 # the base graph: on 2 CPUs the linegraph check takes about 2 s at order
 # 1736 (edge k=12) and 5 s at 2442 (edge k=14).  The ceiling sits just
-# below L(L(edge_pair(6).gamma)), of order 4056, and refuses nothing smaller
+# below L(L(edge_pair(6).gamma)), of order 4056, and refuses nothing
+# smaller.  Below it, the Laplacian polynomials of line-of-edge k=14 and
+# 16 and line-of-vertex k=20 to 25 have coefficients of more than 4300
+# digits, which their reports write through ``IntPolynomial.decimals``
 LINE_GRAPH_CEILING = 4000
 
 

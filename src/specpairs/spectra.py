@@ -40,6 +40,7 @@ order falls by more than a third, for example from 132 to 82 at k = 14.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import math
 from collections.abc import Callable
@@ -92,10 +93,15 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def decimals(self) -> list:
+        """The coefficients as decimal strings, at any length: ``str``
+        refuses an int of more than 4300 digits (Python 3.10.7 on), and
+        ``decimal.Decimal`` gives the same text with no limit."""
+        return [str(decimal.Decimal(c)) for c in self.coeffs]
+
     def digest(self) -> str:
         """Stable content digest: sha256 over the decimal coefficient list."""
-        text = ",".join(str(c) for c in self.coeffs)
-        return hashlib.sha256(text.encode()).hexdigest()
+        return hashlib.sha256(",".join(self.decimals()).encode()).hexdigest()
 
     def __repr__(self):
         return f"IntPolynomial(degree={self.degree})"

@@ -297,6 +297,21 @@ def test_line_families_past_the_ceiling_are_refused(capsys, monkeypatch, argv):
     assert "ceiling of order 4000" in err
 
 
+def test_line_graph_laplacians_past_4300_digits_are_reported(capsys):
+    # line-of-vertex k=20 sits under the ceiling, and its Laplacian
+    # polynomial has a coefficient of 4543 digits, more than str(int)
+    # converts
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "line-of-vertex", "--k", "20",
+        "--checks", "cospectral", "--json",
+    )
+    assert code == 0, err
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "PASS"
+    first, second = check["computed"]["digest_laplacian"]
+    assert first == second
+
+
 def test_connectivity_check_info_when_no_claim(variant4):
     check = _CHECKS["kappa"](variant4, _Metrics(variant4))
     assert check["status"] == "INFO"

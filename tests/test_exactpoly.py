@@ -30,7 +30,7 @@ from specpairs import (
 from specpairs._exactpoly import (
     _berlekamp_massey_mod,
     _coefficient_bound,
-    _hessenberg_charpoly_mod,
+    _hessenberg_residues,
     _krylov_sequences,
     _mod,
     _prime,
@@ -347,7 +347,7 @@ def prime_groups(draw):
 def test_hessenberg_group_residues_equal_berkowitz(case):
     mat, primes = case
     want = berkowitz_charpoly(mat)
-    residues = _hessenberg_charpoly_mod(mat, primes)
+    residues = _hessenberg_residues(mat, primes)
     assert len(residues) == len(primes)
     for res, p in zip(residues, primes):
         assert res.tolist() == [c % p for c in want]
@@ -371,7 +371,7 @@ def test_hessenberg_group_splits_where_pivots_differ(below, first, monkeypatch):
         return group(H, primes, start)
 
     monkeypatch.setattr(_exactpoly, "_hessenberg_group", recording)
-    residues = _hessenberg_charpoly_mod(mat, [p0, p1])
+    residues = _hessenberg_residues(mat, [p0, p1])
     want = berkowitz_charpoly(mat)
     assert [r.tolist() for r in residues] == [[c % p for c in want] for p in (p0, p1)]
     # each part goes on alone from the same step, the part with no pivot
@@ -496,10 +496,10 @@ def test_batched_berlekamp_massey_equals_each_row_alone(rows):
 
 
 @st.composite
-def sparse_matrices(draw):
-    """Sparse square integer matrices of order 1 to 40: symmetric or not,
-    negative entries, some nonzero diagonal entries and some rows that
-    are all zero, about half of them on a superdiagonal of ones."""
+def sparse_matrices(draw, symmetric):
+    """Sparse square integer matrices of order 1 to 40, ``symmetric`` or
+    not: negative entries, some nonzero diagonal entries and some rows
+    that are all zero, about half of them on a superdiagonal of ones."""
     n = draw(st.integers(min_value=1, max_value=40))
     index = st.integers(min_value=0, max_value=n - 1)
     value = st.one_of(
@@ -515,7 +515,6 @@ def sparse_matrices(draw):
         mat[i, j] = x
     for i in draw(st.sets(index, max_size=3)):
         mat[i, i] = draw(st.sampled_from([-5, -1, 1, 7]))
-    symmetric = draw(st.booleans())
     if symmetric:
         mat = np.triu(mat) + np.triu(mat, 1).T
     for i in draw(st.sets(index, max_size=max(1, n // 8))):
@@ -526,7 +525,7 @@ def sparse_matrices(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mat=sparse_matrices())
+@given(mat=sparse_matrices(symmetric=True))
 def test_krylov_residues_of_full_degree_equal_hessenberg(mat):
     n = len(mat)
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
@@ -534,8 +533,21 @@ def test_krylov_residues_of_full_degree_equal_hessenberg(mat):
     for (deg, poly), p in zip(found, primes):
         assert deg <= n
         if deg == n:
-            assert poly.tolist() == _hessenberg_charpoly_mod(mat, [p])[0].tolist()
+            assert poly.tolist() == _hessenberg_residues(mat, [p])[0].tolist()
     assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat=sparse_matrices(symmetric=False).filter(lambda m: not np.array_equal(m, m.T)))
+def test_sparse_non_symmetric_matrices_take_no_krylov_batch(mat):
+    # a non-symmetric sequence would cost one product per term, so every
+    # prime takes the Hessenberg route however sparse the matrix is
+    def refuse(mat, primes, N):
+        raise AssertionError("a non-symmetric matrix ran the Krylov route")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_exactpoly, "_krylov_sequences", refuse)
+        assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
 DEROGATORY = {
@@ -563,7 +575,7 @@ def test_simple_spectrum_sparse_graph_never_takes_hessenberg(terms, monkeypatch)
     def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
-    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_residues", refuse)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
     g = path_graph(40)  # distinct eigenvalues 2 cos(k pi / 41)
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
@@ -580,7 +592,7 @@ def test_residues_of_degree_n_minus_1_are_completed_from_the_trace(shift, terms,
     def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
-    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", refuse)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_residues", refuse)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
     n = 40
     g = Graph.from_edges(n, [(i, i + 1) for i in range(38)] + [(19, 39)])
@@ -603,29 +615,59 @@ def test_completed_residues_equal_hessenberg_on_bipartite_analyze_graphs():
         [(deg, _)] = _berlekamp_massey_mod(_krylov_sequences(mat, primes[:1], 2 * n), primes[:1], n)
         assert deg == n - 1
         residues = _residues(mat, primes)
-        hessenberg = _hessenberg_charpoly_mod(mat, primes)
+        hessenberg = _hessenberg_residues(mat, primes)
         for res, want in zip(residues, hessenberg, strict=True):
             assert res.tolist() == want.tolist()
 
 
 def trace_routes(monkeypatch):
-    """Record each Krylov call and each Hessenberg call, with its primes,
-    in order."""
+    """Record each Krylov call and each Hessenberg group, with its primes,
+    in order.  A group that splits calls ``_hessenberg_group`` again for
+    each part; only the outermost call of a group is recorded."""
     calls = []
     krylov = _exactpoly._krylov_sequences
-    hessenberg = _exactpoly._hessenberg_charpoly_mod
+    hessenberg = _exactpoly._hessenberg_group
+    depth = [0]
 
     def traced_krylov(mat, primes, N):
         calls.append(("krylov", list(primes)))
         return krylov(mat, primes, N)
 
-    def traced_hessenberg(mat, primes):
-        calls.append(("hessenberg", list(primes)))
-        return hessenberg(mat, primes)
+    def traced_hessenberg(H, primes, start):
+        if not depth[0]:
+            calls.append(("hessenberg", list(primes)))
+        depth[0] += 1
+        try:
+            return hessenberg(H, primes, start)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(_exactpoly, "_krylov_sequences", traced_krylov)
-    monkeypatch.setattr(_exactpoly, "_hessenberg_charpoly_mod", traced_hessenberg)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_group", traced_hessenberg)
     return calls
+
+
+def test_paper_family_charpolys_take_59_hessenberg_primes_and_no_krylov_batch(monkeypatch):
+    # the 15 instances of the benchmark's paper-families workload: each
+    # adjacency charpoly runs on a twin quotient, which is not symmetric,
+    # or on a dense matrix, so no prime spends a Krylov batch first
+    calls = trace_routes(monkeypatch)
+    for tag, k in [("vertex", k) for k in range(2, 11)] + [
+        ("edge", k) for k in range(6, 15, 2)
+    ] + [("edge-variant4", None)]:
+        char_poly_adjacency(generate_family(tag, k).gamma)
+    assert {route for route, _ in calls} == {"hessenberg"}
+    assert sum(len(primes) for _, primes in calls) == 59
+
+
+def test_analyze_graphs_take_no_hessenberg_prime(monkeypatch):
+    # graphs 11 and 17 of the benchmark's graph6-analyze input at seed 0:
+    # symmetric and sparse, with every Krylov sequence of degree n - 1
+    calls = trace_routes(monkeypatch)
+    text = (Path(__file__).parent / "data" / "analyze_seed0_graphs_11_17.g6").read_text()
+    for line in text.split():
+        char_poly_adjacency(decode_graph6(line))
+    assert [route for route, _ in calls] == ["krylov", "krylov"]
 
 
 def test_derogatory_sparse_graph_takes_one_krylov_batch_then_hessenberg(monkeypatch):
@@ -665,15 +707,14 @@ def test_residues_take_one_krylov_call_per_prime_group(monkeypatch):
     # gathered terms groups its 3 primes as two and one
     mat = path_graph(100).adj.astype(np.int64)
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
-    want = [r.tolist() for r in _hessenberg_charpoly_mod(mat, primes)]
+    want = [r.tolist() for r in _hessenberg_residues(mat, primes)]
     calls = trace_routes(monkeypatch)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", 400)
     assert [r.tolist() for r in _residues(mat, primes)] == want
     assert calls == [("krylov", primes[:2]), ("krylov", primes[2:])]
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_krylov_sequences_are_exact_where_int64_sums_overflow(symmetric, monkeypatch):
+def test_krylov_sequences_are_exact_where_int64_sums_overflow(monkeypatch):
     # every entry and every start-vector entry is p - 1: unreduced, 530
     # entry products summed along a row, or 530 products in one dot
     # product, pass 2^63
@@ -681,8 +722,6 @@ def test_krylov_sequences_are_exact_where_int64_sums_overflow(symmetric, monkeyp
     top = p - 1
     n = 530
     mat = np.full((n, n), top, dtype=np.int64)
-    if not symmetric:
-        mat[0, 1] = top - 1
     monkeypatch.setattr(_exactpoly, "_krylov_start", lambda n: np.full(n, top, dtype=np.int64))
     assert 530 * top * top >= 2**63
     v = [top] * n

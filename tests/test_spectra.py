@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -51,11 +52,18 @@ def test_polynomial_basics():
 
 
 def test_polynomial_digest_is_content_addressed():
-    import hashlib
-
     p = IntPolynomial((0, 1))
     assert p.digest() == hashlib.sha256(b"0,1").hexdigest()
     assert IntPolynomial((0, 1)).digest() == p.digest()
+
+
+def test_polynomial_digest_takes_coefficients_past_4300_digits():
+    # str(int) refuses more than 4300 digits; the text is built without it
+    big = IntPolynomial((10**4999 + 7, -(10**4999), 3))
+    text = ["1" + "0" * 4998 + "7", "-1" + "0" * 4999, "3"]
+    assert big.decimals() == text
+    assert big.digest() == hashlib.sha256(",".join(text).encode()).hexdigest()
+    assert IntPolynomial((-12, 0, 1)).decimals() == ["-12", "0", "1"]
 
 
 def test_rational_interval():
@@ -463,7 +471,8 @@ def test_quotient_takes_a_symmetrized_budget_only_past_one_twin_pair(monkeypatch
 
 def test_quotient_charpolys_take_no_krylov_batch(monkeypatch):
     # the quotients of edge k = 6, 8, 10 and of the variant sit just under
-    # the Krylov density cutoff, and every prime's sequence falls short there
+    # the Krylov density cutoff, and every prime's sequence would fall
+    # short there; they are not symmetric, which keeps them off the route
     def refuse(mat, primes, N):
         raise AssertionError("a weighted matrix ran the Krylov route")
 
