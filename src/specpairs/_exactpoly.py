@@ -41,8 +41,10 @@ w with diag(w) A symmetric (checked), A is similar to the symmetric
 diag(w)^(1/2) A diag(w)^(-1/2), whose (i, j) entry squared is
 a_ij a_ji; the budget then takes S' = sum_ij a_ij a_ji, which is at
 most S.  ``weights`` set nothing else.  Each residue comes from one of
-two routes, which ``_residues`` picks from the matrix alone, and a
-third, independent route checks them:
+two routes, and a third, independent route checks them.
+``_residues`` is the only code that picks a route and batches primes:
+one pass runs the Krylov batches, then sends every prime still without
+a residue through the Hessenberg groups.
 
 * Krylov / Berlekamp-Massey, for symmetric sparse matrices.  The
   sequence s_i = v^T A^i v mod p, for a fixed start vector v, satisfies
@@ -78,8 +80,12 @@ third, independent route checks them:
   so that each of a prime's 2n steps takes its numpy calls once for all
   k primes; at the orders of the paper's twin quotients (22 to 82) those
   calls, not the arithmetic, are most of the time.  A group's primes
-  must pivot on the same row, so a group splits at the step where an
-  entry vanishes modulo some of its primes only.  A group divides by a
+  must pivot on the same row; at a step where an entry vanishes modulo
+  some of its primes only, every prime of the group runs again alone,
+  as a Berlekamp-Massey batch does where its discrepancies disagree.
+  That needs an entry divisible by a prime near 2^27 mid-reduction,
+  and a residue mod p depends on neither the route nor the pivots, so
+  the rerun changes no result.  A group divides by a
   (k, 1, 1) array of primes, which numpy does more slowly than by one
   scalar (libdivide), so grouping pays less as the order grows and the
   arithmetic takes over: measured on the paper's quotients, groups took
@@ -204,31 +210,33 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p):
     return total
 
 
-def _hessenberg_group(H: np.ndarray, primes: list, start: int) -> list:
-    """Char poly of H[t] modulo each primes[t], coefficients low to high,
-    with H[t] reduced mod primes[t] and already in Hessenberg form in its
-    first ``start`` columns.
+def _hessenberg_group(a: np.ndarray, primes: list) -> list:
+    """Char poly of the int64 matrix a modulo each of ``primes``,
+    coefficients low to high.
 
-    Reduces to upper Hessenberg form by similarity (row eliminations
-    mirrored by column operations), then runs the standard recurrence on
-    leading principal minors of xI - H.  A group of one prime reduces
-    with a scalar p, which ``_mod`` divides by fastest.
+    Reduces a mod each prime into one (k, n, n) array, then to upper
+    Hessenberg form by similarity (row eliminations mirrored by column
+    operations), then runs the standard recurrence on leading principal
+    minors of xI - H.  A group of one prime reduces with a scalar p,
+    which ``_mod`` divides by fastest.
 
     Every prime of the group takes the same pivot row, so a swap is one
     slice for all of them.  Where the first nonzero entry below the
     subdiagonal differs between primes (an entry that one prime divides
-    and another does not), the group splits by pivot row and each part
-    goes on from that step alone.  Step j updates rows below j+1 only in
-    columns j+1 and on: column j below the subdiagonal would become zero,
-    and nothing reads it again.
+    and another does not), every prime of the group runs again alone.
+    Step j updates rows below j+1 only in columns j+1 and on: column j
+    below the subdiagonal would become zero, and nothing reads it again.
     """
-    k, n, _ = H.shape
-    p = primes[0] if k == 1 else np.array(primes, dtype=np.int64)[:, None, None]
+    k, n = len(primes), a.shape[0]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    H = np.remainder(a, p)
+    if k == 1:
+        p = primes[0]
     # the minors' polynomials; until the recurrence, the same memory holds
     # each step's update as one contiguous block
     P = np.empty((k, n + 1, n + 1), dtype=np.int64)
     work = P.reshape(-1)
-    for j in range(start, n - 2):
+    for j in range(n - 2):
         # pivot below the subdiagonal: the first nonzero entry of col, at
         # the same row f for every prime, or for none of them
         col = H[:, j + 1 :, j]
@@ -237,14 +245,7 @@ def _hessenberg_group(H: np.ndarray, primes: list, start: int) -> list:
             first = nz.argmax(axis=1)
             f = int(first[0])
             if k > 1 and ((first != f).any() or (nz[:, f] != nz[0, f]).any()):
-                key = np.where(nz[np.arange(k), first], first, -1)
-                out = [None] * k
-                for row in np.unique(key):
-                    part = np.flatnonzero(key == row)
-                    found = _hessenberg_group(H[part], [primes[t] for t in part], j)
-                    for t, res in zip(part, found):
-                        out[t] = res
-                return out
+                return [_hessenberg_group(a, [prime])[0] for prime in primes]
             if not nz[0, f]:
                 continue
             piv = j + 1 + f
@@ -309,7 +310,11 @@ def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 _KRYLOV_DENSITY = 0.3
 # A matrix of at most this order runs its Hessenberg primes in groups,
 # each of at most this many entries, so that a group's two (k, n, n)
-# arrays stay under 4 MB; above it, one prime at a time (module docstring)
+# arrays stay under 4 MB; above it, one prime at a time (module docstring).
+# Six primes on the edge family's twin quotients, best of 3 on a 2-CPU
+# host: at orders 274 and 286 (k = 46, 48) groups of 3 took 0.31 and
+# 0.36 s against 0.30 and 0.33 s alone; at order 358 (k = 60) groups of
+# 2 took 0.67 s against 0.61 s alone
 _HESSENBERG_GROUP_ORDER = 256
 _HESSENBERG_GROUP_ENTRIES = 1 << 18
 # Krylov vectors held at once
@@ -435,43 +440,25 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
     return [(L, row) for row in polys]
 
 
-def _hessenberg_residues(a: np.ndarray, primes: list) -> list:
-    """The Hessenberg route for each of ``primes``.  Up to order
-    ``_HESSENBERG_GROUP_ORDER`` the primes run in groups of at most
-    ``_HESSENBERG_GROUP_ENTRIES`` entries, above it one prime at a time;
-    each group reduces ``a`` into one (k, n, n) array."""
-    n = a.shape[0]
-    size = 1
-    if n <= _HESSENBERG_GROUP_ORDER:
-        size = max(1, _HESSENBERG_GROUP_ENTRIES // (n * n))
-    out = []
-    for i in range(0, len(primes), size):
-        group = primes[i : i + size]
-        H = np.empty((len(group), n, n), dtype=np.int64)
-        np.remainder(a, np.array(group, dtype=np.int64)[:, None, None], out=H)
-        out += _hessenberg_group(H, group, 0)
-    return out
-
-
 def _residues(a: np.ndarray, primes: list) -> list:
     """The char poly of ``a`` modulo each prime, coefficients low to high.
 
-    The only place that picks a route, from the matrix alone.  A
-    symmetric matrix with at most ``_KRYLOV_DENSITY`` of its entries
-    nonzero runs every prime through the Krylov route, in batches of at
-    most ``_KRYLOV_TERMS`` gathered terms per product, and each prime's
-    residue is then proven on its own: from the minimal polynomial m of
-    its sequence at degree n, from m (x - lambda) at degree n - 1, and
-    from the Hessenberg route when m falls shorter, all such primes
-    together.  Every other matrix, dense or not symmetric, takes the
-    Hessenberg route for every prime: a non-symmetric matrix would pay
-    one product per term, 2n per prime, in place of n.  The module
-    docstring says why each residue is exact.
+    The only place that picks a route and batches primes, from the
+    matrix alone.  A symmetric matrix with at most ``_KRYLOV_DENSITY`` of
+    its entries nonzero first runs every prime through the Krylov route,
+    in batches of at most ``_KRYLOV_TERMS`` gathered terms per product,
+    and each prime's residue is then proven on its own: from the minimal
+    polynomial m of its sequence at degree n, and from m (x - lambda) at
+    degree n - 1.  Every prime still without a residue then takes the
+    Hessenberg route: each prime whose m falls shorter, and every prime
+    of a dense or a non-symmetric matrix, where a sequence would pay one
+    product per term, 2n per prime, in place of n.  Up to order
+    ``_HESSENBERG_GROUP_ORDER`` those primes run in groups of at most
+    ``_HESSENBERG_GROUP_ENTRIES`` entries, above it one prime at a time.
+    The module docstring says why each residue is exact.
     """
     n = a.shape[0]
     nnz = np.count_nonzero(a)
-    if nnz > _KRYLOV_DENSITY * n * n or not np.array_equal(a, a.T):
-        return _hessenberg_residues(a, primes)
     trace = sum(np.diagonal(a).tolist())
 
     def residue(deg, m, p):
@@ -483,16 +470,23 @@ def _residues(a: np.ndarray, primes: list) -> list:
         res[:-1] -= lam * m
         return _mod(res, p)
 
-    out = []
-    size = max(1, _KRYLOV_TERMS // max(nnz, 1))
-    for i in range(0, len(primes), size):
-        group = primes[i : i + size]
-        found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
-        out += [None if d < n - 1 else residue(d, m, p) for (d, m), p in zip(found, group)]
-    short = [p for p, res in zip(primes, out) if res is None]
-    if short:
-        fallback = iter(_hessenberg_residues(a, short))
-        out = [next(fallback) if res is None else res for res in out]
+    out = [None] * len(primes)
+    if nnz <= _KRYLOV_DENSITY * n * n and np.array_equal(a, a.T):
+        size = max(1, _KRYLOV_TERMS // max(nnz, 1))
+        for i in range(0, len(primes), size):
+            group = primes[i : i + size]
+            found = _berlekamp_massey_mod(_krylov_sequences(a, group, 2 * n), group, n)
+            out[i : i + size] = [
+                None if d < n - 1 else residue(d, m, p) for (d, m), p in zip(found, group)
+            ]
+    short = [t for t, res in enumerate(out) if res is None]
+    size = 1
+    if n <= _HESSENBERG_GROUP_ORDER:
+        size = max(1, _HESSENBERG_GROUP_ENTRIES // (n * n))
+    for i in range(0, len(short), size):
+        part = short[i : i + size]
+        for t, res in zip(part, _hessenberg_group(a, [primes[t] for t in part])):
+            out[t] = res
     return out
 
 

@@ -296,7 +296,8 @@ def _parse_checks(text):
         return DEFAULT_CHECKS
     if text.strip() == "all":
         return CHECK_NAMES
-    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    # a name given twice runs once, at its first place
+    names = tuple(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
     for name in names:
         if name not in CHECK_NAMES:
             raise ValueError(
@@ -571,9 +572,16 @@ def _build_parser():
         "generation, verification, and analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several verbs share, each declared once
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=FAMILY_TAGS)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="JSON report on stdout")
+    report.add_argument("--out", default=None, help="also write the JSON report here")
+    report.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("generate", help="build a pair; emit graph6 + sidecars")
-    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
+    p = sub.add_parser("generate", parents=[family],
+                       help="build a pair; emit graph6 + sidecars")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None,
                    help="basename for .g6/.plan.json/.meta.json sidecars")
@@ -581,34 +589,26 @@ def _build_parser():
                    help="echoed into metadata (construction is deterministic)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="recompute metrics, compare with claims")
-    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
+    p = sub.add_parser("verify", parents=[family, report],
+                       help="recompute metrics, compare with claims")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--checks", default=None,
                    help="comma list from: " + ", ".join(CHECK_NAMES) + "; or 'all'"
                    " (default: " + ",".join(DEFAULT_CHECKS) + ")")
-    p.add_argument("--json", action="store_true", help="JSON report on stdout")
-    p.add_argument("--out", default=None, help="also write the JSON report here")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="summary rows across a range of k")
-    p.add_argument("--family", required=True, choices=FAMILY_TAGS)
+    p = sub.add_parser("table", parents=[family, report],
+                       help="summary rows across a range of k")
     p.add_argument("--kmin", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("analyze", help="metrics for arbitrary graph6 input")
+    p = sub.add_parser("analyze", parents=[report],
+                       help="metrics for arbitrary graph6 input")
     p.add_argument("--in", dest="input", required=True,
                    help="graph6 file, one graph per line; '-' for stdin")
     p.add_argument("--polys", action="store_true",
                    help="include full coefficient lists in the JSON")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("switch", help="apply a plan JSON to a graph6 input")

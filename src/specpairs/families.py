@@ -231,6 +231,8 @@ def _default_fillers(k: int):
 
 
 def _assemble_edge_pair(k, y_block, y_width):
+    """Gamma, its plan, gamma_prime and the named classes and pivots that
+    every edge builder shares, for the free part y_block of y_width."""
     l_mat = _edge_l_matrix(k)
     a1 = l_mat.copy()
     np.fill_diagonal(a1, False)
@@ -244,7 +246,18 @@ def _assemble_edge_pair(k, y_block, y_width):
     )
     gamma = Graph.from_adjacency(adj)
     plan = SwitchingPlan(4 * k + y_width, [range(2 * k), range(2 * k, 4 * k)])
-    return gamma, plan, switch(gamma, plan)
+    layout = {
+        "X1": (0, 2 * k),
+        "X11": (0, k - 1),
+        "X12": (k - 1, 2 * k),
+        "X2": (2 * k, 4 * k),
+        "X21": (2 * k, 3 * k - 1),
+        "X22": (3 * k - 1, 4 * k),
+        "Y": (4 * k, 4 * k + y_width),
+        "x1": k - 1,
+        "x2": 3 * k - 1,
+    }
+    return gamma, plan, switch(gamma, plan), layout
 
 
 def edge_pair(k: int, b1: Graph = None, b2: Graph = None) -> FamilyInstance:
@@ -270,21 +283,13 @@ def edge_pair(k: int, b1: Graph = None, b2: Graph = None) -> FamilyInstance:
     _check_filler("b2", b2, 2 * k - 5, k - 6)
     y_width = 6 * k - 8
     y_block = _edge_y_block(k, b1, b2)
-    gamma, plan, gamma_prime = _assemble_edge_pair(k, y_block, y_width)
+    gamma, plan, gamma_prime, layout = _assemble_edge_pair(k, y_block, y_width)
     named = {
-        "X1": (0, 2 * k),
-        "X11": (0, k - 1),
-        "X12": (k - 1, 2 * k),
-        "X2": (2 * k, 4 * k),
-        "X21": (2 * k, 3 * k - 1),
-        "X22": (3 * k - 1, 4 * k),
-        "Y": (4 * k, 10 * k - 8),
+        **layout,
         "B1": (4 * k, 6 * k - 3),
         "B2": (6 * k - 3, 8 * k - 8),
         "clique_small": (8 * k - 8, 9 * k - 9),
         "clique_large": (9 * k - 9, 10 * k - 8),
-        "x1": k - 1,
-        "x2": 3 * k - 1,
         "y": 6 * k - 4,
     }
     expected = ExpectedMetrics(
@@ -323,21 +328,13 @@ def edge_pair_variant4() -> FamilyInstance:
     y[:5, 17:] = True
     y[17:, :5] = True
     y[17:, 17:] = ~np.eye(3, dtype=bool)
-    gamma, plan, gamma_prime = _assemble_edge_pair(k, y, y_width)
+    gamma, plan, gamma_prime, layout = _assemble_edge_pair(k, y, y_width)
     named = {
-        "X1": (0, 8),
-        "X11": (0, 3),
-        "X12": (3, 8),
-        "X2": (8, 16),
-        "X21": (8, 11),
-        "X22": (11, 16),
-        "Y": (16, 36),
+        **layout,
         "B1": (16, 21),
         "B2": (21, 24),
         "replacement": (21, 33),
         "clique_small": (33, 36),
-        "x1": 3,
-        "x2": 11,
         "y": 20,
     }
     expected = ExpectedMetrics(

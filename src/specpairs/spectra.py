@@ -93,15 +93,20 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def _text(self) -> tuple:
+        # made once per object, however many digests and lists read it
+        return tuple(str(decimal.Decimal(c)) for c in self.coeffs)
+
     def decimals(self) -> list:
         """The coefficients as decimal strings, at any length: ``str``
         refuses an int of more than 4300 digits (Python 3.10.7 on), and
         ``decimal.Decimal`` gives the same text with no limit."""
-        return [str(decimal.Decimal(c)) for c in self.coeffs]
+        return list(self._text)
 
     def digest(self) -> str:
         """Stable content digest: sha256 over the decimal coefficient list."""
-        return hashlib.sha256(",".join(self.decimals()).encode()).hexdigest()
+        return hashlib.sha256(",".join(self._text).encode()).hexdigest()
 
     def __repr__(self):
         return f"IntPolynomial(degree={self.degree})"
@@ -164,8 +169,13 @@ def _twin_classes(g: Graph) -> list:
 
 def _times_power(coeffs: list, a: int, k: int) -> list:
     """The coefficients of p(x) (x + a)^k, low to high, for p's
-    ``coeffs``: one product with (x + a)^k = sum_j C(k, j) a^(k - j) x^j."""
-    power = [math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
+    ``coeffs``: one product with (x + a)^k = sum_j C(k, j) a^(k - j) x^j.
+    Its coefficients P_j come down from P_k = 1 by
+    P_(j-1) = P_j a j / (k - j + 1), exact since C(k, j) j equals
+    C(k, j - 1) (k - j + 1)."""
+    power = [0] * k + [1]
+    for j in range(k, 0, -1):
+        power[j - 1] = power[j] * a * j // (k - j + 1)
     product = np.convolve(np.array(coeffs, dtype=object), np.array(power, dtype=object))
     return product.tolist()
 

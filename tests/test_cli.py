@@ -1,9 +1,11 @@
 import argparse
+import decimal
 import io
 import json
 import subprocess
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -107,6 +109,15 @@ def test_verify_rejects_unknown_check(capsys):
         capsys, "verify", "--family", "vertex", "--k", "2", "--checks", "nope"
     )
     assert code == 2 and "unknown check" in err
+
+
+def test_verify_runs_a_check_named_twice_once(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "vertex", "--k", "2",
+        "--checks", "kappa,cospectral,kappa", "--json",
+    )
+    assert code == 0, err
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["kappa", "cospectral"]
 
 
 def test_verify_reports_failure_for_wrong_claims(vertex3):
@@ -223,6 +234,28 @@ def test_a_line_family_builds_its_base_pair_once(capsys, monkeypatch):
     )
     assert code == 0, err
     assert built == [3, 2, 3]
+
+
+def test_a_line_family_converts_each_polynomial_to_text_once(monkeypatch):
+    # each side's adjacency polynomial is one object, and so is each
+    # side's Laplacian polynomial; the check takes two digests of each
+    # and the adjacency coefficients, but converts each object once
+    line = generate_family("line-of-vertex", 3)
+    metrics = _Metrics(line)
+    pair = metrics.spectra()
+    polys = {id(p): p for p in pair.adjacency + pair.laplacian}
+    assert len(polys) == 2
+    made = []
+    convert = decimal.Decimal
+
+    def counted(c):
+        made.append(c)
+        return convert(c)
+
+    monkeypatch.setattr(spectra, "decimal", SimpleNamespace(Decimal=counted))
+    check = _CHECKS["cospectral"](line, metrics)
+    assert check["status"] == "PASS"
+    assert made == [c for p in polys.values() for c in p.coeffs]
 
 
 def test_each_line_graph_is_built_once(capsys, monkeypatch):

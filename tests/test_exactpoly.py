@@ -30,7 +30,7 @@ from specpairs import (
 from specpairs._exactpoly import (
     _berlekamp_massey_mod,
     _coefficient_bound,
-    _hessenberg_residues,
+    _hessenberg_group,
     _krylov_sequences,
     _mod,
     _prime,
@@ -347,16 +347,14 @@ def prime_groups(draw):
 def test_hessenberg_group_residues_equal_berkowitz(case):
     mat, primes = case
     want = berkowitz_charpoly(mat)
-    residues = _hessenberg_residues(mat, primes)
+    residues = _hessenberg_group(mat, primes)
     assert len(residues) == len(primes)
     for res, p in zip(residues, primes):
         assert res.tolist() == [c % p for c in want]
 
 
-@pytest.mark.parametrize(
-    "below,first", [([3], 1), ([0], 0)], ids=["pivots-differ", "one-has-none"]
-)
-def test_hessenberg_group_splits_where_pivots_differ(below, first, monkeypatch):
+@pytest.mark.parametrize("below", [[3], [0]], ids=["pivots-differ", "one-has-none"])
+def test_hessenberg_group_splits_where_pivots_differ(below, monkeypatch):
     # column 0 holds p0 at row 1, which vanishes modulo p0 only: p1
     # pivots on row 1, and p0 on row 2, or nowhere when row 2 holds 0
     p0, p1 = _prime(0), _prime(1)
@@ -366,18 +364,17 @@ def test_hessenberg_group_splits_where_pivots_differ(below, first, monkeypatch):
     calls = []
     group = _exactpoly._hessenberg_group
 
-    def recording(H, primes, start):
-        calls.append((list(primes), start))
-        return group(H, primes, start)
+    def recording(a, primes):
+        calls.append(list(primes))
+        return group(a, primes)
 
     monkeypatch.setattr(_exactpoly, "_hessenberg_group", recording)
-    residues = _hessenberg_residues(mat, [p0, p1])
+    residues = _residues(mat, [p0, p1])
     want = berkowitz_charpoly(mat)
     assert [r.tolist() for r in residues] == [[c % p for c in want] for p in (p0, p1)]
-    # each part goes on alone from the same step, the part with no pivot
-    # or the nearer pivot row first
-    alone = [([p0], 0), ([p1], 0)]
-    assert calls == [([p0, p1], 0), alone[first], alone[1 - first]]
+    # the group's primes run again, each alone and from the start, in
+    # their order, whichever row each would pivot on
+    assert calls == [[p0, p1], [p0], [p1]]
 
 
 def test_mod_equals_numpy_remainder():
@@ -533,7 +530,7 @@ def test_krylov_residues_of_full_degree_equal_hessenberg(mat):
     for (deg, poly), p in zip(found, primes):
         assert deg <= n
         if deg == n:
-            assert poly.tolist() == _hessenberg_residues(mat, [p])[0].tolist()
+            assert poly.tolist() == _hessenberg_group(mat, [p])[0].tolist()
     assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
@@ -575,7 +572,7 @@ def test_simple_spectrum_sparse_graph_never_takes_hessenberg(terms, monkeypatch)
     def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
-    monkeypatch.setattr(_exactpoly, "_hessenberg_residues", refuse)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_group", refuse)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
     g = path_graph(40)  # distinct eigenvalues 2 cos(k pi / 41)
     for mat in (g.adj.astype(np.int64), laplacian_matrix(g)):
@@ -592,7 +589,7 @@ def test_residues_of_degree_n_minus_1_are_completed_from_the_trace(shift, terms,
     def refuse(mat, primes):
         raise AssertionError("the Hessenberg route ran")
 
-    monkeypatch.setattr(_exactpoly, "_hessenberg_residues", refuse)
+    monkeypatch.setattr(_exactpoly, "_hessenberg_group", refuse)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", terms)
     n = 40
     g = Graph.from_edges(n, [(i, i + 1) for i in range(38)] + [(19, 39)])
@@ -615,15 +612,16 @@ def test_completed_residues_equal_hessenberg_on_bipartite_analyze_graphs():
         [(deg, _)] = _berlekamp_massey_mod(_krylov_sequences(mat, primes[:1], 2 * n), primes[:1], n)
         assert deg == n - 1
         residues = _residues(mat, primes)
-        hessenberg = _hessenberg_residues(mat, primes)
+        hessenberg = _hessenberg_group(mat, primes)
         for res, want in zip(residues, hessenberg, strict=True):
             assert res.tolist() == want.tolist()
 
 
 def trace_routes(monkeypatch):
     """Record each Krylov call and each Hessenberg group, with its primes,
-    in order.  A group that splits calls ``_hessenberg_group`` again for
-    each part; only the outermost call of a group is recorded."""
+    in order.  A group whose primes would pivot on different rows calls
+    ``_hessenberg_group`` again for each prime; only the outermost call
+    of a group is recorded."""
     calls = []
     krylov = _exactpoly._krylov_sequences
     hessenberg = _exactpoly._hessenberg_group
@@ -633,12 +631,12 @@ def trace_routes(monkeypatch):
         calls.append(("krylov", list(primes)))
         return krylov(mat, primes, N)
 
-    def traced_hessenberg(H, primes, start):
+    def traced_hessenberg(a, primes):
         if not depth[0]:
             calls.append(("hessenberg", list(primes)))
         depth[0] += 1
         try:
-            return hessenberg(H, primes, start)
+            return hessenberg(a, primes)
         finally:
             depth[0] -= 1
 
@@ -707,7 +705,7 @@ def test_residues_take_one_krylov_call_per_prime_group(monkeypatch):
     # gathered terms groups its 3 primes as two and one
     mat = path_graph(100).adj.astype(np.int64)
     primes = _primes_covering(2 * _coefficient_bound(mat) + 1)
-    want = [r.tolist() for r in _hessenberg_residues(mat, primes)]
+    want = [r.tolist() for r in _hessenberg_group(mat, primes)]
     calls = trace_routes(monkeypatch)
     monkeypatch.setattr(_exactpoly, "_KRYLOV_TERMS", 400)
     assert [r.tolist() for r in _residues(mat, primes)] == want

@@ -1,7 +1,10 @@
+import decimal
 import hashlib
+import math
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from specpairs import (
     two_coloring,
     zero_root_multiplicity,
 )
-from specpairs import _exactpoly
+from specpairs import _exactpoly, spectra
 from specpairs._exactpoly import _coefficient_bound, _dot_mod, _prime, _primes_covering
 from specpairs.spectra import _times_power, _twin_classes
 from tests.conftest import random_graph
@@ -64,6 +67,24 @@ def test_polynomial_digest_takes_coefficients_past_4300_digits():
     assert big.decimals() == text
     assert big.digest() == hashlib.sha256(",".join(text).encode()).hexdigest()
     assert IntPolynomial((-12, 0, 1)).decimals() == ["-12", "0", "1"]
+
+
+def test_polynomial_text_is_made_once_and_handed_out_fresh(monkeypatch):
+    p = IntPolynomial((-12, 0, 1))
+    made = []
+    convert = decimal.Decimal
+
+    def counted(c):
+        made.append(c)
+        return convert(c)
+
+    monkeypatch.setattr(spectra, "decimal", SimpleNamespace(Decimal=counted))
+    digest = p.digest()
+    first = p.decimals()
+    first.append("junk")
+    assert p.decimals() == ["-12", "0", "1"]
+    assert p.digest() == digest == hashlib.sha256(b"-12,0,1").hexdigest()
+    assert made == [-12, 0, 1]
 
 
 def test_rational_interval():
@@ -513,6 +534,16 @@ def test_times_power_matches_one_factor_at_a_time(coeffs, a, k):
     got = _times_power(coeffs, a, k)
     assert got == _times_power_one_factor_at_a_time(coeffs, a, k)
     assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("k", [0, 1, 286, 2772])
+@pytest.mark.parametrize("a", [-88, 0, 1, 2])
+def test_times_power_recurrence_equals_the_comb_form(a, k):
+    # (a, k) = (-88, 2772) is the Laplacian factor (x - 2d)^(m - n) of
+    # line-of-vertex k = 22, whose base is 44-regular with 132 vertices
+    # and 2904 edges; (2, 286) is Sachs' factor of L(edge_pair(6).gamma)
+    comb = [math.comb(k, j) * a ** (k - j) for j in range(k + 1)]
+    assert _times_power([1], a, k) == comb
 
 
 def test_times_power_at_the_sachs_size():
