@@ -237,9 +237,9 @@ def test_a_line_family_builds_its_base_pair_once(capsys, monkeypatch):
 
 
 def test_a_line_family_converts_each_polynomial_to_text_once(monkeypatch):
-    # each side's adjacency polynomial is one object, and so is each
-    # side's Laplacian polynomial; the check takes two digests of each
-    # and the adjacency coefficients, but converts each object once
+    # the two sides share one adjacency and one Laplacian polynomial
+    # object; the check takes two digests of each and the adjacency
+    # coefficients, but converts each object to text once
     line = generate_family("line-of-vertex", 3)
     metrics = _Metrics(line)
     pair = metrics.spectra()
