@@ -621,9 +621,14 @@ def _build_parser():
     return parser
 
 
+# built once per process: a dropped parser is about 220 KB of cyclic
+# garbage that only a full collection frees, so a process that calls
+# ``main`` repeatedly would peak wherever the collector happened to run
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # Graph6Error is a ValueError

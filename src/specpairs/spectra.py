@@ -373,18 +373,35 @@ def _sachs_applies(fi) -> bool:
     )
 
 
+def _each(identity, inputs):
+    """identity(*inputs[0]) and identity(*inputs[1]), run once when the
+    two inputs are equal."""
+    first = identity(*inputs[0])
+    return first, first if inputs[1] == inputs[0] else identity(*inputs[1])
+
+
+def _charpolys(poly, g: Graph, h: Graph, matrix: str, similar: frozenset):
+    """The route that proves the pair (poly(g), poly(h)) of ``matrix``,
+    and a function that proves it on that route: "similarity", one
+    charpoly, when the certificate ``similar`` holds ``matrix``, else
+    "charpoly", one for each side."""
+    if matrix in similar:
+        return "similarity", lambda: (poly(g),) * 2
+    return "charpoly", lambda: (poly(g), poly(h))
+
+
 def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
     """Adjacency and Laplacian char polys of ``fi.gamma`` and
     ``fi.gamma_prime``, each proven exactly in integer arithmetic.
 
-    The adjacency pair comes from Sachs' identity applied to the base
-    pair's proven polynomials (line-graph instances), else from one
-    charpoly plus the plan's similarity certificate, else from two
-    charpolys; a pair whose certificate fails therefore still gets its
-    true polynomials.  A line-graph instance's Laplacians follow from
-    the base pair's Laplacians, any other regular pair's from the
-    adjacency polynomials, both by identity; any other pair's come from
-    the certificate or from two charpolys.  Laplacians are computed only
+    A line-graph instance takes both pairs from the base pair's proven
+    polynomials, by Sachs' identity and by the line graph's Laplacian
+    identity.  Any other pair takes its adjacency pair from one charpoly
+    plus the plan's similarity certificate, else from two charpolys; a
+    pair whose certificate fails therefore still gets its true
+    polynomials.  A regular pair's Laplacians follow from the adjacency
+    polynomials by identity; an irregular pair's come from the
+    certificate or from two charpolys.  Laplacians are computed only
     when read.  Each identity runs once when both sides pass it equal
     inputs, as a cospectral pair's sides do, and once per side when
     they differ.  ``base_spectra``, when given, is
@@ -392,54 +409,31 @@ def pair_char_polys(fi, base_spectra: PairSpectra | None = None) -> PairSpectra:
     used in place of proving the base pair again.
     """
     g, h = fi.gamma, fi.gamma_prime
-
-    def each(identity, inputs):
-        first = identity(*inputs[0])
-        return first, first if inputs[1] == inputs[0] else identity(*inputs[1])
-
-    similar = frozenset()
-    if fi.plan is not None:
-        similar = similarity_certificate(g, h, fi.plan)
-    sachs = _sachs_applies(fi)
-    if sachs:
-        if base_spectra is None:
-            base_spectra = pair_char_polys(fi.base)
+    if _sachs_applies(fi):
+        base = base_spectra or pair_char_polys(fi.base)
         shapes = [
             (int(b.degrees()[0]), b.num_edges - b.n)
             for b in (fi.base.gamma, fi.base.gamma_prime)
         ]
-        adjacency = each(
-            _line_graph_poly,
-            [(p, *shape) for p, shape in zip(base_spectra.adjacency, shapes)],
+        adjacency = _each(
+            _line_graph_poly, [(p, *s) for p, s in zip(base.adjacency, shapes)]
         )
-        adj_route = "identity"
-    elif "adjacency" in similar:
-        p = char_poly_adjacency(g)
-        adjacency, adj_route = (p, p), "similarity"
-    else:
-        adjacency = (char_poly_adjacency(g), char_poly_adjacency(h))
-        adj_route = "charpoly"
-    if g.n and g.is_regular() and h.is_regular():
-        lap_route = "identity"
-    elif "laplacian" in similar:
-        lap_route = "similarity"
-    else:
-        lap_route = "charpoly"
-
-    def laplacian():
-        if sachs:
-            return each(
+        return PairSpectra(
+            adjacency,
+            {"adjacency": "identity", "laplacian": "identity"},
+            lambda: _each(
                 _line_graph_laplacian,
-                [(mu, *shape) for mu, shape in zip(base_spectra.laplacian, shapes)],
-            )
-        if lap_route == "identity":
-            return each(
-                _regular_laplacian,
-                [(p, int(x.degrees()[0])) for p, x in zip(adjacency, (g, h))],
-            )
-        p = char_poly_laplacian(g)
-        return (p, p) if lap_route == "similarity" else (p, char_poly_laplacian(h))
-
+                [(mu, *s) for mu, s in zip(base.laplacian, shapes)],
+            ),
+        )
+    similar = frozenset() if fi.plan is None else similarity_certificate(g, h, fi.plan)
+    adj_route, prove = _charpolys(char_poly_adjacency, g, h, "adjacency", similar)
+    adjacency = prove()
+    if g.n and g.is_regular() and h.is_regular():
+        inputs = [(p, int(x.degrees()[0])) for p, x in zip(adjacency, (g, h))]
+        lap_route, laplacian = "identity", lambda: _each(_regular_laplacian, inputs)
+    else:
+        lap_route, laplacian = _charpolys(char_poly_laplacian, g, h, "laplacian", similar)
     return PairSpectra(
         adjacency, {"adjacency": adj_route, "laplacian": lap_route}, laplacian
     )

@@ -429,6 +429,16 @@ def test_family_choices_follow_the_registry():
         assert tuple(family.choices) == FAMILY_TAGS
 
 
+def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main built a parser of its own")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    first = run_cli(capsys, "generate", "--family", "vertex", "--k", "3")
+    assert first[0] == 0
+    assert run_cli(capsys, "generate", "--family", "vertex", "--k", "3") == first
+
+
 # -- analyze ---------------------------------------------------------------------
 
 
