@@ -101,13 +101,20 @@ a residue through the Hessenberg groups.
   cross-check at small orders.
 
 Primes stay below 2^27, so a sum of up to 511 products of residues
-stays below 2^63 (511 * p^2 < 2^63).  Every int64 dot product sums
-chunks of at most 511 terms and reduces each chunk mod p, and the
-Krylov route's sparse row sums add residues, not products; both stay
-exact at any order while numpy does the inner loops.  Large arrays of
-residues are reduced as ``x - (x // p) * p``, which equals ``x % p``
-but is several times faster in numpy for a scalar p, and for a (k, 1,
-1) array of primes when each prime's block is contiguous.
+stays below 2^63 (511 * p^2 < 2^63).  Every int64 dot product goes
+through the one chunked product ``_dot_mod``, which sums chunks of at
+most 511 terms and reduces each chunk with ``%``, and the Krylov
+route's sparse row sums add residues, not products; both stay exact at
+any order while numpy does the inner loops.  One reduction is written
+differently: the elimination update of ``_hessenberg_group``, the
+largest array the route reduces, takes ``x - (x // p) * p``, which
+equals ``x % p`` (the floor quotient puts it in [0, p)).  numpy
+floor-divides by a scalar p with a precomputed reciprocal (libdivide),
+and by a (k, 1, 1) array of primes fastest when each prime's block is
+contiguous, but speeds up ``%`` in neither case: with ``%`` in that
+update, the adjacency charpolys of the edge family at k = 40 and 60
+took 1.70-1.74 and 8.34-9.12 s against 1.31-1.51 and 6.20-6.39 s
+(two processes each, best of 2 runs, on a shared 2-CPU host).
 
 ``count_roots_greater`` counts roots exceeding a dyadic rational by
 Descartes' rule after an integer Taylor shift.  For real-rooted
@@ -180,33 +187,21 @@ def _primes_covering(target: int) -> list:
 _DOT_CHUNK = 511
 
 
-def _mod(x, p):
-    """``x % p`` for int64 arrays or scalars and p > 0, a scalar or an
-    array that broadcasts against x.
-
-    numpy floor-divides by a scalar with a precomputed reciprocal
-    (libdivide) but does not speed up ``%`` that way, so this form is
-    several times faster.  The two agree for every int64 x: the floor
-    quotient makes the result lie in [0, p), and int64 arithmetic wraps
-    modulo 2^64, so a wrapped ``(x // p) * p`` still gives the true
-    difference.
-    """
-    return x - (x // p) * p
-
-
 def _dot_mod(a: np.ndarray, b: np.ndarray, p):
     """``(a @ b) % p`` for int64 residues mod p < 2^27, exact at any length.
 
     Takes numpy's matmul over the last axis of a and the second to last
     of b (its only axis when b is 1-D), in chunks of at most
     ``_DOT_CHUNK`` terms, reducing mod p after each chunk.  p is a scalar
-    or an array that broadcasts against the product.
+    or an array that broadcasts against the product.  Row-wise dot
+    products of two stacks of vectors take the layout
+    ``a[..., None, :]`` and ``b[..., :, None]``.
     """
     if b.ndim == 1:
         return _dot_mod(a, b[:, None], p)[..., 0]
-    total = _mod(a[..., :_DOT_CHUNK] @ b[..., :_DOT_CHUNK, :], p)
+    total = (a[..., :_DOT_CHUNK] @ b[..., :_DOT_CHUNK, :]) % p
     for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
-        total = _mod(total + a[..., i : i + _DOT_CHUNK] @ b[..., i : i + _DOT_CHUNK, :], p)
+        total = (total + a[..., i : i + _DOT_CHUNK] @ b[..., i : i + _DOT_CHUNK, :]) % p
     return total
 
 
@@ -218,7 +213,7 @@ def _hessenberg_group(a: np.ndarray, primes: list) -> list:
     Hessenberg form by similarity (row eliminations mirrored by column
     operations), then runs the standard recurrence on leading principal
     minors of xI - H.  A group of one prime reduces with a scalar p,
-    which ``_mod`` divides by fastest.
+    which numpy divides by fastest.
 
     Every prime of the group takes the same pivot row, so a swap is one
     slice for all of them.  Where the first nonzero entry below the
@@ -232,10 +227,6 @@ def _hessenberg_group(a: np.ndarray, primes: list) -> list:
     H = np.remainder(a, p)
     if k == 1:
         p = primes[0]
-    # the minors' polynomials; until the recurrence, the same memory holds
-    # each step's update as one contiguous block
-    P = np.empty((k, n + 1, n + 1), dtype=np.int64)
-    work = P.reshape(-1)
     for j in range(n - 2):
         # pivot below the subdiagonal: the first nonzero entry of col, at
         # the same row f for every prime, or for none of them
@@ -254,11 +245,10 @@ def _hessenberg_group(a: np.ndarray, primes: list) -> list:
         inv = [pow(x, -1, q) for x, q in zip(H[:, j + 1, j].tolist(), primes)]
         # the multipliers of rows j+1 and on; row j+1's own is 1
         mult = H[:, j + 1 :, j : j + 1] * np.array(inv)[:, None, None] % p
-        # rest = _mod(rest - mult * row j+1), the difference and then its
-        # quotients held in a contiguous block, which numpy divides fastest
+        # rest = (rest - mult * row j+1) mod p, reduced as
+        # x - (x // p) * p in a fresh contiguous block (module docstring)
         rest = H[:, j + 2 :, j + 1 :]
-        block = work[: rest.size].reshape(rest.shape)
-        np.multiply(mult[:, 1:], H[:, j + 1 : j + 2, j + 1 :], out=block)
+        block = mult[:, 1:] * H[:, j + 1 : j + 2, j + 1 :]
         np.subtract(rest, block, out=block)
         rest[...] = block
         np.floor_divide(block, p, out=block)
@@ -273,8 +263,8 @@ def _hessenberg_group(a: np.ndarray, primes: list) -> list:
     #   P_m = x P_{m-1} - sum_{i<m} H[i,m-1] (prod_{j=i+1..m-1} H[j,j-1]) P_i
     # with prod[i] kept as m grows, prod[m-1] = 1.  P[:, c, i] holds the
     # x^c coefficient of P_i, so that the sum is a product over P's
-    # contiguous rows; these arrays are small, so ``%`` reduces them
-    P.fill(0)
+    # contiguous rows
+    P = np.zeros((k, n + 1, n + 1), dtype=np.int64)
     P[:, 0, 0] = 1
     prod = np.ones((k, n, 1), dtype=np.int64)
     for m in range(1, n + 1):
@@ -285,19 +275,6 @@ def _hessenberg_group(a: np.ndarray, primes: list) -> list:
         col[:, 1:] = P[:, :m, m - 1 : m]
         col[:, :m] = (col[:, :m] - _dot_mod(P[:, :m, :m], w, p)) % p
     return list(P[:, :, n].copy())
-
-
-def _rowdot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Dot products of residue arrays along their last axis, reduced mod
-    p, which broadcasts against the other axes.  Chunks of at most
-    ``_DOT_CHUNK`` terms are reduced one by one, so the sums are exact in
-    int64 at any length."""
-    a, b = a[..., None, :], b[..., :, None]
-    total = (a[..., :_DOT_CHUNK] @ b[..., :_DOT_CHUNK, :])[..., 0, 0] % p
-    for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
-        chunk = a[..., i : i + _DOT_CHUNK] @ b[..., i : i + _DOT_CHUNK, :]
-        total = (total + chunk[..., 0, 0]) % p
-    return total
 
 
 # A symmetric matrix tries the Krylov route when at most this share of
@@ -341,7 +318,7 @@ def _krylov_sequences(mat: np.ndarray, primes: list, N: int) -> np.ndarray:
     ``np.add.reduceat`` over each row.  Entry products are reduced mod p
     before the row sums (0/1 matrices need no product), so a row sum adds
     at most n residues below 2^27, exact in int64 for n < 2^36; dot
-    products go through ``_rowdot_mod``.  Since mat is symmetric, each
+    products go through ``_dot_mod``.  Since mat is symmetric, each
     product gives two terms, s_2i = x_i . x_i and s_2i+1 = x_i . x_i+1
     with x_i = mat^i v.
     """
@@ -373,12 +350,14 @@ def _krylov_sequences(mat: np.ndarray, primes: list, N: int) -> np.ndarray:
     s = np.empty((len(p), 2 * M), dtype=np.int64)
     X = np.empty((len(p), _KRYLOV_BLOCK + 1, n), dtype=np.int64)
     X[:, 0] = _krylov_start(n)[None, :] % P
+    Q = p[:, None, None, None]  # against the (k, h, 1, 1) dot products
     for b in range(0, M, _KRYLOV_BLOCK):
         h = min(_KRYLOV_BLOCK, M - b)
         for j in range(h):
             X[:, j + 1] = product(X[:, j])
-        s[:, 2 * b : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, :h], P)
-        s[:, 2 * b + 1 : 2 * (b + h) : 2] = _rowdot_mod(X[:, :h], X[:, 1 : h + 1], P)
+        x = X[:, :h, None, :]
+        s[:, 2 * b : 2 * (b + h) : 2] = _dot_mod(x, X[:, :h, :, None], Q)[..., 0, 0]
+        s[:, 2 * b + 1 : 2 * (b + h) : 2] = _dot_mod(x, X[:, 1 : h + 1, :, None], Q)[..., 0, 0]
         X[:, 0] = X[:, h]
     return s[:, :N]
 
@@ -407,13 +386,14 @@ def _berlekamp_massey_mod(s: np.ndarray, primes: list, n: int) -> list:
     # C <- b C - d y^m B needs no inverse; C is made monic at the end
     k, K = s.shape
     p = np.array(primes, dtype=np.int64)
+    Q = p[:, None, None]  # against the (k, 1, 1) discrepancies
     C = np.zeros((k, K + 1), dtype=np.int64)
     B = C.copy()
     C[:, K] = B[:, K] = 1
     b = np.ones((k, 1), dtype=np.int64)
     L, lb, m = 0, 1, 1  # lb: length of B
     for N in range(K):
-        d = _rowdot_mod(C[:, K - L :], s[:, N - L : N + 1], p)
+        d = _dot_mod(C[:, None, K - L :], s[:, N - L : N + 1, None], Q)[:, 0, 0]
         nonzero = np.count_nonzero(d)
         if nonzero == 0:
             m += 1
@@ -468,7 +448,7 @@ def _residues(a: np.ndarray, primes: list) -> list:
         res = np.zeros(n + 1, dtype=np.int64)
         res[1:] = m
         res[:-1] -= lam * m
-        return _mod(res, p)
+        return res % p
 
     out = [None] * len(primes)
     if nnz <= _KRYLOV_DENSITY * n * n and np.array_equal(a, a.T):

@@ -23,7 +23,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .connectivity import (
     edge_connectivity,
@@ -57,7 +57,8 @@ SIDES = ("gamma", "gamma_prime")
 
 
 class _Metrics:
-    """Spectra, kappa, kappa' and line graphs of a pair, each made on demand.
+    """Spectra, kappa, kappa' and line graphs of a pair, each made on
+    demand; ``kappa`` and ``kappa_prime`` map each side to its result.
 
     ``base`` is the metrics of the pair a line-graph instance was built
     from; its spectra let ``pair_char_polys`` prove the line graphs'
@@ -67,34 +68,26 @@ class _Metrics:
     def __init__(self, fi: FamilyInstance, base=None):
         self.fi = fi
         self.base = base
-        self._kappa = {}
-        self._kappa_prime = {}
-        self._spectra = None
-        self._line = None
 
     def graphs(self):
         return {"gamma": self.fi.gamma, "gamma_prime": self.fi.gamma_prime}
 
+    @cached_property
     def spectra(self):
-        if self._spectra is None:
-            base = self.base.spectra() if self.base is not None else None
-            self._spectra = pair_char_polys(self.fi, base_spectra=base)
-        return self._spectra
+        base = self.base.spectra if self.base is not None else None
+        return pair_char_polys(self.fi, base_spectra=base)
 
-    def kappa(self, which):
-        if which not in self._kappa:
-            self._kappa[which] = vertex_connectivity(self.graphs()[which])
-        return self._kappa[which]
+    @cached_property
+    def kappa(self):
+        return {which: vertex_connectivity(g) for which, g in self.graphs().items()}
 
-    def kappa_prime(self, which):
-        if which not in self._kappa_prime:
-            self._kappa_prime[which] = edge_connectivity(self.graphs()[which])
-        return self._kappa_prime[which]
+    @cached_property
+    def kappa_prime(self):
+        return {which: edge_connectivity(g) for which, g in self.graphs().items()}
 
+    @cached_property
     def line(self):
-        if self._line is None:
-            self._line = _Metrics(line_graph_family(self.fi), base=self)
-        return self._line
+        return _Metrics(line_graph_family(self.fi), base=self)
 
 
 def _witness_json(w):
@@ -120,7 +113,7 @@ def _conn_json(g, result):
 
 
 def _cospectral(fi, metrics):
-    spectra = metrics.spectra()
+    spectra = metrics.spectra
     (pa, pa2), (pl, pl2) = spectra.adjacency, spectra.laplacian
     computed = {
         "adjacency": pa == pa2,
@@ -141,7 +134,7 @@ def _connectivity(fi, metrics, kind):
     The kappa check of a line-graph instance names the network each
     side's flows ran on as its route."""
     computed = {
-        which: _conn_json(g, getattr(metrics, kind)(which))
+        which: _conn_json(g, getattr(metrics, kind)[which])
         for which, g in metrics.graphs().items()
     }
     expected = {which: getattr(fi.expected, f"{kind}_{which}") for which in SIDES}
@@ -157,7 +150,7 @@ def _connectivity(fi, metrics, kind):
     values = "{}/{}".format(*(computed[which]["value"] for which in SIDES))
     route = None
     if kind == "kappa" and fi.base is not None:
-        route = {which: metrics.kappa(which).route for which in SIDES}
+        route = {which: metrics.kappa[which].route for which in SIDES}
     if problems:
         return computed, expected, False, "; ".join(problems), route
     if all(want is None for want in expected.values()):
@@ -168,8 +161,8 @@ def _connectivity(fi, metrics, kind):
 def _whitney(fi, metrics):
     computed = {}
     for which, g in metrics.graphs().items():
-        kv = metrics.kappa(which).value
-        ke = metrics.kappa_prime(which).value
+        kv = metrics.kappa[which].value
+        ke = metrics.kappa_prime[which].value
         dmin = g.min_degree()
         computed[which] = {
             "kappa": kv,
@@ -187,9 +180,9 @@ def _fiedler(fi, metrics):
     """The interval is certified from the Laplacian polynomial alone, so
     the sides of a pair with equal polynomials share one."""
     computed, intervals = {}, {}
-    spectra = metrics.spectra()
+    spectra = metrics.spectra
     for (which, g), lap in zip(metrics.graphs().items(), spectra.laplacian):
-        kv = metrics.kappa(which)
+        kv = metrics.kappa[which]
         complete = g.num_edges == g.n * (g.n - 1) // 2
         if kv.value == 0 or complete:
             computed[which] = {"applicable": False}
@@ -216,17 +209,17 @@ def _fiedler(fi, metrics):
 
 
 def _linegraph(fi, metrics):
-    line = metrics.line()
+    line = metrics.line
     degree = int(fi.gamma.degrees().max())
-    spectra = line.spectra()
+    spectra = line.spectra
     computed = {
         "order": line.fi.gamma.n,
         "degree": int(line.fi.gamma.degrees().max()),
         "cospectral_adjacency": spectra.adjacency[0] == spectra.adjacency[1],
     }
     for which in SIDES:
-        base_edge = metrics.kappa_prime(which).value
-        line_vertex = line.kappa(which).value
+        base_edge = metrics.kappa_prime[which].value
+        line_vertex = line.kappa[which].value
         # equality with the base edge connectivity is guaranteed only
         # when some minimum edge cut is not a vertex star, which a
         # value below the degree forces; otherwise only >= holds
@@ -364,7 +357,7 @@ def cmd_generate(args) -> int:
 def _verify_report(fi, names, seed):
     metrics = _Metrics(fi)
     if "linegraph" in names:
-        metrics.line()  # refuses an oversized pair before any check runs
+        metrics.line  # refuses an oversized pair before any check runs
     checks = [_CHECKS[name](fi, metrics) for name in names]
     verdict = "PASS" if all(c["status"] != "FAIL" for c in checks) else "FAIL"
     return {
@@ -424,14 +417,14 @@ def cmd_table(args) -> int:
     for fi in instances:
         t0 = time.perf_counter()
         metrics = _Metrics(fi)
-        spectra = metrics.spectra()
+        spectra = metrics.spectra
         pa, pa2 = spectra.adjacency
         row = {
             "k": fi.k,
             "order": fi.gamma.n,
             "degree": int(fi.gamma.degrees().max()),
-            "kappa": [metrics.kappa(w).value for w in SIDES],
-            "kappa_prime": [metrics.kappa_prime(w).value for w in SIDES],
+            "kappa": [metrics.kappa[w].value for w in SIDES],
+            "kappa_prime": [metrics.kappa_prime[w].value for w in SIDES],
             "cospectral": pa == pa2,
             "char_poly_digest_adjacency": pa.digest(),
             "route": {"adjacency": spectra.route["adjacency"]},
@@ -449,11 +442,10 @@ def cmd_table(args) -> int:
         f"{'cospectral':>10} {'seconds':>8}"
     ]
     for r in rows:
-        kcol = "-" if r["k"] is None else r["k"]
         kappa = "{}/{}".format(*r["kappa"])
         kappa_prime = "{}/{}".format(*r["kappa_prime"])
         lines.append(
-            f"{kcol:>4} {r['order']:>6} {r['degree']:>6} {kappa:<9} "
+            f"{r['k']:>4} {r['order']:>6} {r['degree']:>6} {kappa:<9} "
             f"{kappa_prime:<11} {'yes' if r['cospectral'] else 'NO':>10} "
             f"{r['seconds']:>8.2f}"
         )

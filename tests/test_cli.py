@@ -242,7 +242,7 @@ def test_a_line_family_converts_each_polynomial_to_text_once(monkeypatch):
     # coefficients, but converts each object to text once
     line = generate_family("line-of-vertex", 3)
     metrics = _Metrics(line)
-    pair = metrics.spectra()
+    pair = metrics.spectra
     polys = {id(p): p for p in pair.adjacency + pair.laplacian}
     assert len(polys) == 2
     made = []

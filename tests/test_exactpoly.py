@@ -1,6 +1,6 @@
 """The modular charpoly's prime budget and its two residue routes: the
 Hadamard and Parseval bounds from the order, the sum of squared entries
-and the trace, the reduction helper, the Hessenberg pivot swaps, and the
+and the trace, the Hessenberg pivot swaps, and the
 Krylov / Berlekamp-Massey route with its fallback, each against the
 division-free Berkowitz route."""
 
@@ -32,7 +32,6 @@ from specpairs._exactpoly import (
     _coefficient_bound,
     _hessenberg_group,
     _krylov_sequences,
-    _mod,
     _prime,
     _primes_covering,
     _residues,
@@ -324,7 +323,7 @@ def test_pivot_swaps_agree_with_berkowitz(seed):
     mat = rng.choice([-2 * p, -p, p, 2 * p, 0, 0, 1, -1, 3], size=(n, n))
     mat[1, 0] = p if seed % 2 else -p
     mat[2, 0] = 1 + seed
-    assert _mod(mat, p)[1, 0] == 0
+    assert (mat % p)[1, 0] == 0
     assert charpoly(mat) == berkowitz_charpoly(mat)
 
 
@@ -375,15 +374,6 @@ def test_hessenberg_group_splits_where_pivots_differ(below, monkeypatch):
     # the group's primes run again, each alone and from the start, in
     # their order, whichever row each would pivot on
     assert calls == [[p0, p1], [p0], [p1]]
-
-
-def test_mod_equals_numpy_remainder():
-    p = _prime(0)
-    values = [2**62, -(2**62), 0, p, -p, p - 1, 1 - p, -1, 2**63 - 1, -(2**63)]
-    x = np.array(values, dtype=np.int64)
-    assert np.array_equal(_mod(x, p), x % p)
-    for v in values[:-2]:  # scalars, away from the int64 ends
-        assert int(_mod(np.int64(v), p)) == int(np.int64(v) % p) == v % p
 
 
 @pytest.mark.parametrize("mat", [[[2**63]], [[2**64 + 5]]])
@@ -445,10 +435,12 @@ def lfsr_terms(poly, start, count, p):
     return s
 
 
-def test_berlekamp_massey_recovers_an_lfsr_from_2n_terms():
+@pytest.mark.parametrize("n", [12, 520])
+def test_berlekamp_massey_recovers_an_lfsr_from_2n_terms(n):
+    # at n = 520 the discrepancy's dot product of up to n + 1 terms
+    # crosses _DOT_CHUNK, so it runs in two chunks
     p = _prime(0)
     rng = np.random.default_rng(1986)
-    n = 12
     poly = [int(c) for c in rng.integers(0, p, n)] + [1]
     s = lfsr_terms(poly, [int(x) for x in rng.integers(0, p, n)], 2 * n, p)
     assert bm_alone(s, p, n) == (n, poly)

@@ -194,6 +194,19 @@ def test_dot_mod_is_exact_where_int64_dots_overflow():
     assert int(_dot_mod(a, a, p)) == exact
     assert _dot_mod(a, b, p).tolist() == [exact] * 3
     assert _dot_mod(b.T, a, p).tolist() == [exact] * 3
+    # the shapes of the Hessenberg groups and of the Krylov and
+    # Berlekamp-Massey dot products, with one prime per leading index and
+    # each prime's residues all its own p - 1
+    primes = np.array([_prime(i) for i in range(3)], dtype=np.int64)
+    tops = (primes - 1)[:, None, None]
+    exacts = [1000 * (q - 1) * (q - 1) % q for q in primes.tolist()]
+    batch = np.broadcast_to(tops, (3, 2, 1000)), np.broadcast_to(tops, (3, 1000, 4))
+    got = _dot_mod(*batch, primes[:, None, None])
+    assert got.tolist() == [[[e] * 4] * 2 for e in exacts]
+    rows = np.broadcast_to(tops[..., None], (3, 5, 1, 1000))
+    cols = np.broadcast_to(tops[..., None], (3, 5, 1000, 1))
+    got = _dot_mod(rows, cols, primes[:, None, None, None])
+    assert got.tolist() == [[[[e]]] * 5 for e in exacts]
 
 
 @settings(max_examples=40, deadline=None)
